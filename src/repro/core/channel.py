@@ -18,6 +18,9 @@ Implementation notes (equivalent reformulation):
   all destinations through the ``Prev`` array — the complexity
   optimization described after Theorem 3, giving
   ``O(|U|(|E| + |V| log |V|))`` for the all-pairs step.
+* The search loop walks the network's int-indexed routing snapshot
+  with an inlined indexed binary heap, so a call does no per-step
+  method calls or node-object lookups.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 from repro.core.problem import Channel
 from repro.core.rates import swap_log_rate
 from repro.exec import cache as exec_cache
+from repro.network.errors import UnknownNodeError
 from repro.network.graph import QuantumNetwork
 import repro.obs.metrics as obs_metrics
-from repro.utils.heap import IndexedMinHeap
 
 __all__ = [
     "dijkstra",
@@ -77,10 +80,17 @@ def dijkstra(
     responsibility (it is a constant offset across all returned paths,
     so argmax comparisons stay valid).
 
+    The search runs over ints on the network's memoized
+    :meth:`~repro.network.graph.QuantumNetwork.routing_snapshot`.  Ties
+    between equal distances break as an indexed binary min-heap breaks
+    them (:class:`~repro.utils.heap.IndexedMinHeap`, inlined here), with
+    neighbours scanned in adjacency insertion order; ``dist`` and
+    ``prev`` are filled in first-relaxation order.
+
     Profiling: each call publishes ``core.dijkstra.calls`` /
     ``.heap_pops`` / ``.edges_scanned`` / ``.relaxations`` counters to
     the active :class:`~repro.obs.metrics.MetricsRegistry` (one batch
-    at return, so per-iteration cost is three local integer bumps).
+    at return, so per-iteration cost is local integer bumps).
 
     Caching: when a :class:`~repro.exec.cache.ChannelCache` is active
     (:func:`repro.exec.cache.caching`), results are memoized under an
@@ -106,57 +116,110 @@ def dijkstra(
         warmed = cache.warm_lookup(cache_key, network)
         if warmed is not None:
             return warmed
+    snapshot = network.routing_snapshot()
+    start = snapshot.index.get(source)
+    if start is None:
+        raise UnknownNodeError(source)
+    ids = snapshot.ids
+    rows = snapshot.rows
+    is_switch = snapshot.is_switch
     alpha = network.params.alpha
     minus_ln_q = -swap_log_rate(network.params.swap_prob)  # in [0, +inf]
+    # q = 0: nothing can extend beyond the source's own links.
+    can_swap = not math.isinf(minus_ln_q)
 
-    dist: Dict[Hashable, float] = {source: 0.0}
-    prev: Dict[Hashable, Hashable] = {}
-    visited: Set[Hashable] = set()
-    heap = IndexedMinHeap()
-    heap.push(source, 0.0)
-    heap_pops = 0
+    # open_[i]: node i may still be entered — it terminates (any user)
+    # or can relay (switch with >= 2 residual qubits), and is unsettled.
+    get = qubits.get
+    open_ = [
+        not (switch and get(node_id, 0) < 2)
+        for node_id, switch in zip(ids, is_switch)
+    ]
+    size = len(ids)
+    best = [math.inf] * size
+    parent = [-1] * size
+    slot = [-1] * size  # position in the heap; -1 before the first push
+    order = [start]  # first-relaxation order, the order of dist and prev
+    best[start] = 0.0
+    # Indexed binary min-heap, inlined on int lists; it breaks equal-key
+    # ties exactly as repro.utils.heap.IndexedMinHeap does.
+    keys = [0.0]
+    items = [start]
+    slot[start] = 0
     edges_scanned = 0
     relaxations = 0
 
-    while len(heap):
-        node, node_dist = heap.pop_min()
-        heap_pops += 1
-        if node in visited:
+    while items:
+        node = items[0]
+        node_dist = keys[0]
+        last = items.pop()
+        last_key = keys.pop()
+        count = len(items)
+        if count:
+            index = 0
+            child = 1
+            while child < count:
+                right = child + 1
+                if right < count and keys[right] < keys[child]:
+                    child = right
+                if keys[child] >= last_key:
+                    break
+                keys[index] = keys[child]
+                moved = items[index] = items[child]
+                slot[moved] = index
+                index = child
+                child = 2 * index + 1
+            keys[index] = last_key
+            items[index] = last
+            slot[last] = index
+        open_[node] = False
+        # Only the source and capable switches relay onward; an entered
+        # switch already holds >= 2 residual qubits.
+        if node == start:
+            base = node_dist
+        elif is_switch[node] and can_swap:
+            base = node_dist + minus_ln_q
+        else:
             continue
-        visited.add(node)
-        # Only the source user and capable switches may relay onward.
-        if node != source:
-            if not network.is_switch(node):
+        row = rows[node]
+        edges_scanned += len(row)
+        for neighbor, length, key in row:
+            if not open_[neighbor]:
                 continue
-            if qubits.get(node, 0) < 2:
+            if forbidden_fibers and key in forbidden_fibers:
                 continue
-        swap_cost = 0.0 if node == source else minus_ln_q
-        if math.isinf(swap_cost):
-            continue  # q = 0: cannot extend beyond the source's own links
-        for fiber in network.incident_fibers(node):
-            edges_scanned += 1
-            neighbor = fiber.other_end(node)
-            if neighbor in visited:
-                continue
-            if forbidden_fibers and fiber.key in forbidden_fibers:
-                continue
-            # A neighbor is enterable if it terminates (any user) or can
-            # potentially relay (switch with >= 2 residual qubits).
-            if network.is_switch(neighbor) and qubits.get(neighbor, 0) < 2:
-                continue
-            candidate = node_dist + swap_cost + alpha * fiber.length
-            if candidate < dist.get(neighbor, math.inf):
-                dist[neighbor] = candidate
-                prev[neighbor] = node
-                heap.push(neighbor, candidate)
+            candidate = base + alpha * length
+            if candidate < best[neighbor]:
+                best[neighbor] = candidate
+                parent[neighbor] = node
                 relaxations += 1
+                index = slot[neighbor]
+                if index < 0:
+                    order.append(neighbor)
+                    index = len(items)
+                    items.append(neighbor)
+                    keys.append(candidate)
+                while index:
+                    up = (index - 1) >> 1
+                    if candidate >= keys[up]:
+                        break
+                    keys[index] = keys[up]
+                    moved = items[index] = items[up]
+                    slot[moved] = index
+                    index = up
+                keys[index] = candidate
+                items[index] = neighbor
+                slot[neighbor] = index
+
+    dist = {ids[i]: best[i] for i in order}
+    prev = {ids[i]: ids[parent[i]] for i in order[1:]}
     metrics = obs_metrics.active()
     if metrics is not None:
         metrics.inc("core.dijkstra.calls")
-        metrics.inc("core.dijkstra.heap_pops", heap_pops)
+        metrics.inc("core.dijkstra.heap_pops", len(order))
         metrics.inc("core.dijkstra.edges_scanned", edges_scanned)
         metrics.inc("core.dijkstra.relaxations", relaxations)
-        metrics.inc("core.dijkstra.nodes_settled", len(visited))
+        metrics.inc("core.dijkstra.nodes_settled", len(order))
     if cache is not None:
         cache.put(cache_key, (dist, prev))
     return dist, prev

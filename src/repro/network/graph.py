@@ -73,6 +73,45 @@ class NetworkParams:
         require_probability(self.swap_prob, "swap_prob")
 
 
+class RoutingSnapshot:
+    """Int-indexed, read-only view of a network's routing topology.
+
+    Node ``i`` is the ``i``-th node in insertion order: ``ids[i]`` is
+    its id, ``index`` maps ids back to ints and ``is_switch[i]`` flags
+    switches.  ``rows[i]`` holds one ``(neighbour_int, length,
+    fiber_key)`` triple per incident fiber, in adjacency insertion
+    order, which is the order path searches break equal-cost ties by.
+    Built by :meth:`QuantumNetwork.routing_snapshot`.
+    """
+
+    __slots__ = ("ids", "index", "is_switch", "rows")
+
+    def __init__(
+        self,
+        nodes: Dict[Hashable, Node],
+        fibers: Dict[Tuple[Hashable, Hashable], OpticalFiber],
+        adjacency: Dict[Hashable, Dict[Hashable, OpticalFiber]],
+    ) -> None:
+        self.ids: List[Hashable] = list(nodes)
+        self.index: Dict[Hashable, int] = {
+            node_id: i for i, node_id in enumerate(self.ids)
+        }
+        self.is_switch: List[bool] = [
+            isinstance(node, QuantumSwitch) for node in nodes.values()
+        ]
+        # Rows reuse the fiber map's key tuples rather than building
+        # one new key per fiber end.
+        key_of = {id(fiber): key for key, fiber in fibers.items()}
+        index = self.index
+        self.rows: List[Tuple[Tuple[int, float, Tuple], ...]] = [
+            tuple(
+                (index[other], fiber.length, key_of[id(fiber)])
+                for other, fiber in adjacency[node_id].items()
+            )
+            for node_id in self.ids
+        ]
+
+
 class QuantumNetwork:
     """Mutable quantum-network topology with users, switches and fibers.
 
@@ -88,6 +127,9 @@ class QuantumNetwork:
         self._adjacency: Dict[Hashable, Dict[Hashable, OpticalFiber]] = {}
         #: Memoized content hashes per scope; cleared on any mutation.
         self._fingerprints: Dict[str, str] = {}
+        #: Memoized routing snapshot; dropped whenever the topology or
+        #: its adjacency order changes.
+        self._routing: Optional[RoutingSnapshot] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -132,6 +174,7 @@ class QuantumNetwork:
         routing fingerprint are now unreachable, so they stop crowding
         the LRU window.
         """
+        self._routing = None
         old_routing = self._fingerprints.pop("routing", None)
         self._fingerprints.clear()
         # Lazy imports: neither repro.exec.cache nor the incremental
@@ -229,10 +272,23 @@ class QuantumNetwork:
             for other, fiber in row.items():
                 aligned.setdefault(other, fiber)
             self._adjacency[node_id] = aligned
+        self._routing = None
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    def routing_snapshot(self) -> RoutingSnapshot:
+        """The int-indexed routing view of this network (memoized).
+
+        Rebuilt lazily after any node or fiber mutation and after
+        :meth:`align_fiber_order`; copies share it until they mutate.
+        """
+        snapshot = self._routing
+        if snapshot is None:
+            snapshot = RoutingSnapshot(self._nodes, self._fibers, self._adjacency)
+            self._routing = snapshot
+        return snapshot
+
     def node(self, node_id: Hashable) -> Node:
         """Return the node object for *node_id*."""
         try:
@@ -431,8 +487,10 @@ class QuantumNetwork:
             node_id: dict(neighbors)
             for node_id, neighbors in self._adjacency.items()
         }
-        # Content is identical, so memoized fingerprints carry over.
+        # Content is identical, so memoized fingerprints and the
+        # (never mutated) routing snapshot carry over.
         clone._fingerprints = dict(self._fingerprints)
+        clone._routing = self._routing
         return clone
 
     def with_switch_qubits(self, qubits: int) -> "QuantumNetwork":

@@ -12,7 +12,7 @@ connectivity.
 from __future__ import annotations
 
 import math
-from typing import List, Set, Tuple
+from typing import Sequence, Set, Tuple
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from repro.topology.base import (
     TopologyConfig,
     assemble_network,
     choose_user_indices,
-    euclidean,
     repair_connectivity,
     scatter_positions,
     trim_to_edge_target,
@@ -56,28 +55,8 @@ def waxman_topology(
     generator = ensure_rng(rng)
     positions = scatter_positions(config, generator)
     n = config.n_nodes
-
-    max_distance = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            max_distance = max(max_distance, euclidean(positions[i], positions[j]))
-    if max_distance <= 0.0:
-        max_distance = 1.0
-
-    # Score every pair by log(Waxman probability) + Gumbel noise; taking
-    # the top-k of such scores samples k pairs with probabilities
-    # proportional to the Waxman weights (the Gumbel-max trick).
-    scores: List[Tuple[float, int, int]] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            distance = euclidean(positions[i], positions[j])
-            log_prob = math.log(beta) - distance / (gamma * max_distance)
-            gumbel = -math.log(-math.log(generator.uniform(1e-12, 1.0)))
-            scores.append((log_prob + gumbel, i, j))
-    scores.sort(reverse=True)
-
-    target = min(config.target_edges, len(scores))
-    edges: Set[Tuple[int, int]] = {(i, j) for _, i, j in scores[:target]}
+    target = min(config.target_edges, n * (n - 1) // 2)
+    edges = _sample_pairs(positions, target, beta, gamma, generator)
     edges = repair_connectivity(positions, edges)
     edges = trim_to_edge_target(positions, edges, target, generator)
 
@@ -89,3 +68,61 @@ def waxman_topology(
         method="waxman",
         positions={node.id: node.position for node in network.nodes},
     )
+
+
+def _sample_pairs(
+    positions: Sequence[Tuple[float, float]],
+    target: int,
+    beta: float,
+    gamma: float,
+    generator: np.random.Generator,
+) -> Set[Tuple[int, int]]:
+    """*target* Waxman-sampled pairs ``(i, j)``, ``i < j``.
+
+    Every pair scores ``log(Waxman probability)`` plus Gumbel noise, one
+    uniform draw per pair in ``(i, j)`` order; taking the top-k of such
+    scores samples k pairs with probabilities proportional to the
+    Waxman weights (the Gumbel-max trick).  The set is filled in
+    descending ``(score, i, j)`` order, which fixes its iteration order.
+
+    numpy's ``hypot`` and ``log`` can differ from :mod:`math`'s in the
+    last bit, which could reorder near-equal scores.  So the vectorized
+    scores only shortlist every pair within a safe margin of the top
+    *target*; the shortlist is then scored and ranked with the scalar
+    :mod:`math` formula, which makes the chosen pairs and their order
+    exactly those of scoring every pair with :mod:`math`.
+    """
+    first, second = np.triu_indices(len(positions), k=1)
+    xy = np.asarray(positions, dtype=float).reshape(-1, 2)
+    dx = xy[first, 0] - xy[second, 0]
+    dy = xy[first, 1] - xy[second, 1]
+    uniforms = generator.uniform(1e-12, 1.0, size=len(first))
+
+    distance = np.hypot(dx, dy)
+    longest = np.flatnonzero(distance >= distance.max() * (1.0 - 1e-9))
+    max_distance = max(
+        map(math.hypot, dx[longest].tolist(), dy[longest].tolist())
+    )
+    if max_distance <= 0.0:
+        max_distance = 1.0
+    log_prob = math.log(beta) - distance / (gamma * max_distance)
+    gumbel = -np.log(-np.log(uniforms))
+    approx = log_prob + gumbel
+    # Each vectorized score is within a few ulps of its scalar value.
+    margin = 1e-9 * (1.0 + np.abs(log_prob).max() + np.abs(gumbel).max())
+    cutoff = np.partition(approx, len(approx) - target)[len(approx) - target]
+    shortlist = np.flatnonzero(approx >= cutoff - margin)
+
+    exact = []
+    for x, y, u in zip(
+        dx[shortlist].tolist(),
+        dy[shortlist].tolist(),
+        uniforms[shortlist].tolist(),
+    ):
+        distance_k = math.hypot(x, y)
+        log_prob_k = math.log(beta) - distance_k / (gamma * max_distance)
+        gumbel_k = -math.log(-math.log(u))
+        exact.append(log_prob_k + gumbel_k)
+    rows, cols = first[shortlist], second[shortlist]
+    ranked = np.lexsort((cols, rows, exact))[::-1][:target]
+    return set(zip(rows[ranked].tolist(), cols[ranked].tolist()))
