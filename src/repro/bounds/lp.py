@@ -23,9 +23,12 @@ variant, which drops the capacity rows).
 
 Because the path universe is exponential, the LP is solved by column
 generation: a restricted master over the columns found so far, priced
-by an exact Dijkstra (the same weight space as Algorithm 1, plus a
-per-switch penalty of ``−2·y_cap[r]`` from the capacity duals).  At
-*any* round — converged or not — weak duality gives the certificate
+by Algorithm 1's search itself — :func:`repro.core.channel.dijkstra`
+with a per-switch penalty of ``−2·y_cap[r]`` from the capacity duals.
+Rounds whose duals are all zero (the seed round, every uncapacitated
+round) are plain unpenalized searches, so an active
+:class:`~repro.exec.cache.ChannelCache` serves them.  At *any* round —
+converged or not — weak duality gives the certificate
 
     z_full  ≥  y·b + Σ_p min(0, c̄*_p)
 
@@ -48,12 +51,12 @@ from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+import repro.core.channel as core_channel
+from repro.core.ledger import QUBITS_PER_CHANNEL
 from repro.core.problem import Channel, resolve_users
-from repro.core.rates import swap_log_rate
 from repro.network.graph import QuantumNetwork
 import repro.obs.metrics as obs_metrics
 from repro.bounds.simplex import LPResult, simplex_solve
-from repro.utils.heap import IndexedMinHeap
 
 __all__ = [
     "BoundCertificate",
@@ -253,72 +256,6 @@ class LPRelaxationResult:
         return pairs
 
 
-def _pricing_search(
-    network: QuantumNetwork,
-    source: Hashable,
-    penalties: Dict[Hashable, float],
-    budgets: Optional[Dict[Hashable, int]],
-) -> Tuple[Dict[Hashable, float], Dict[Hashable, Hashable]]:
-    """Exact pricing: min-cost user→user paths under dual penalties.
-
-    Mirrors :func:`repro.core.channel.dijkstra` (same ``α·L − ln q``
-    weight space, users never relay) but charges an extra nonnegative
-    ``penalties[r]`` when transiting switch ``r``.  With *budgets*
-    given, only switches holding ≥ 2 qubits may relay (the capacitated
-    universe); with ``None`` every switch may relay (the uncapacitated
-    universe used to bound capacity-exempt methods).
-    """
-    alpha = network.params.alpha
-    minus_ln_q = -swap_log_rate(network.params.swap_prob)
-
-    dist: Dict[Hashable, float] = {source: 0.0}
-    prev: Dict[Hashable, Hashable] = {}
-    visited: set = set()
-    heap = IndexedMinHeap()
-    heap.push(source, 0.0)
-    while len(heap):
-        node, node_dist = heap.pop_min()
-        if node in visited:
-            continue
-        visited.add(node)
-        if node != source:
-            if not network.is_switch(node):
-                continue
-            if budgets is not None and budgets.get(node, 0) < 2:
-                continue
-        transit_cost = (
-            0.0
-            if node == source
-            else minus_ln_q + penalties.get(node, 0.0)
-        )
-        if math.isinf(transit_cost):
-            continue  # q = 0: only the source's own fibers are usable
-        for fiber in network.incident_fibers(node):
-            neighbor = fiber.other_end(node)
-            if neighbor in visited:
-                continue
-            if (
-                network.is_switch(neighbor)
-                and budgets is not None
-                and budgets.get(neighbor, 0) < 2
-            ):
-                continue
-            candidate = node_dist + transit_cost + alpha * fiber.length
-            if candidate < dist.get(neighbor, math.inf):
-                dist[neighbor] = candidate
-                prev[neighbor] = node
-                heap.push(neighbor, candidate)
-    return dist, prev
-
-
-def _trace(prev: Dict[Hashable, Hashable], source, target) -> Tuple:
-    path = [target]
-    while path[-1] != source:
-        path.append(prev[path[-1]])
-    path.reverse()
-    return tuple(path)
-
-
 class _Master:
     """The restricted master LP over the columns found so far."""
 
@@ -423,7 +360,12 @@ def solve_relaxation(
     budgets = network.residual_qubits()
     switches = sorted(budgets, key=repr)
     master = _Master(user_list, switches, budgets, capacitated)
-    relay_budgets = budgets if capacitated else None
+    # The uncapacitated universe lets every switch relay.
+    relay_budgets = (
+        budgets
+        if capacitated
+        else dict.fromkeys(switches, QUBITS_PER_CHANNEL)
+    )
 
     total_pivots = 0
     rounds = 0
@@ -435,8 +377,7 @@ def solve_relaxation(
     n_solved = 0
     solution: Optional[LPResult] = None
 
-    zero_penalties: Dict[Hashable, float] = {}
-    penalties: Dict[Hashable, float] = zero_penalties
+    penalties: Dict[Hashable, float] = {}
     duals: Optional[LPResult] = None
     dual_value = 0.0
 
@@ -446,8 +387,8 @@ def solve_relaxation(
         slack = 0.0
         worst = 0.0
         for i, source in enumerate(user_list[:-1]):
-            dist, prev = _pricing_search(
-                network, source, penalties, relay_budgets
+            dist, prev = core_channel.dijkstra(
+                network, source, relay_budgets, penalties=penalties
             )
             for target in user_list[i + 1:]:
                 if target not in dist:
@@ -456,7 +397,7 @@ def solve_relaxation(
                 if duals is None:
                     # Seed round: the best channel per reachable pair
                     # unconditionally (reduced costs need duals).
-                    path = _trace(prev, source, target)
+                    path = core_channel.trace_path(prev, source, target)
                     if master.add_column(
                         PathColumn(pair, Channel.from_path(network, path))
                     ):
@@ -475,7 +416,7 @@ def solve_relaxation(
                 slack += min(0.0, reduced)
                 worst = min(worst, reduced)
                 if reduced < -tolerance:
-                    path = _trace(prev, source, target)
+                    path = core_channel.trace_path(prev, source, target)
                     column = PathColumn(
                         pair, Channel.from_path(network, path)
                     )

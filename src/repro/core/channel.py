@@ -61,6 +61,7 @@ def dijkstra(
     residual: Optional[Dict[Hashable, int]] = None,
     forbidden_fibers: Optional[Set[Tuple[Hashable, Hashable]]] = None,
     allow_switch_source: bool = False,
+    penalties: Optional[Dict[Hashable, float]] = None,
 ) -> Tuple[Dict[Hashable, float], Dict[Hashable, Hashable]]:
     """Single-source max-rate search (Algorithm 1's main loop).
 
@@ -79,6 +80,13 @@ def dijkstra(
     switch; the source's own swap cost is then the caller's
     responsibility (it is a constant offset across all returned paths,
     so argmax comparisons stay valid).
+
+    ``penalties`` maps switches to an extra nonnegative cost charged
+    each time the switch relays, on top of its ``−ln q``: the LP bound
+    prices columns with it (:mod:`repro.bounds.lp`, capacity duals).  A
+    relay then costs ``dist + (−ln q + penalty)`` before the fiber's
+    ``α·L`` is added, so a penalty of ``0.0`` or ``−0.0`` gives exactly
+    the unpenalized result.
 
     The search runs over ints on the network's memoized
     :meth:`~repro.network.graph.QuantumNetwork.routing_snapshot`.  Ties
@@ -99,12 +107,15 @@ def dijkstra(
     prev)`` a recomputation would have produced.  The search only reads
     residual capacities through the "≥ 2 free qubits" relay predicate,
     which is why the blocked-switch *set* (not the raw counts) fully
-    captures the residual state's influence.
+    captures the residual state's influence.  Penalties are not part of
+    the key: a search with any nonzero penalty neither reads nor writes
+    the cache, while all-zero penalties share the unpenalized entry.
     """
     if not allow_switch_source and not network.is_user(source):
         raise ValueError(f"source {source!r} must be a quantum user")
     qubits = _residual_qubits(network, residual)
-    cache = exec_cache.active()
+    penalized = penalties is not None and any(penalties.values())
+    cache = None if penalized else exec_cache.active()
     cache_key = None
     if cache is not None:
         cache_key = cache.key_for(
@@ -127,6 +138,15 @@ def dijkstra(
     minus_ln_q = -swap_log_rate(network.params.swap_prob)  # in [0, +inf]
     # q = 0: nothing can extend beyond the source's own links.
     can_swap = not math.isinf(minus_ln_q)
+    # swap_cost[i]: what relaying through switch i costs, when penalized.
+    swap_cost = None
+    if penalized:
+        swap_cost = [minus_ln_q] * len(ids)
+        index_of = snapshot.index.get
+        for node_id, penalty in penalties.items():
+            i = index_of(node_id)
+            if i is not None:
+                swap_cost[i] = minus_ln_q + penalty
 
     # open_[i]: node i may still be entered — it terminates (any user)
     # or can relay (switch with >= 2 residual qubits), and is unsettled.
@@ -178,7 +198,10 @@ def dijkstra(
         if node == start:
             base = node_dist
         elif is_switch[node] and can_swap:
-            base = node_dist + minus_ln_q
+            if swap_cost is None:
+                base = node_dist + minus_ln_q
+            else:
+                base = node_dist + swap_cost[node]
         else:
             continue
         row = rows[node]

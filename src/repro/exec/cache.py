@@ -56,6 +56,7 @@ import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -234,10 +235,12 @@ class ChannelCache:
         *qubits* is the effective residual map the search will consult
         (a plain dict or a :class:`~repro.core.ledger.CapacityLedger`).
         """
+        snapshot = network.routing_snapshot()
+        get = qubits.get
         blocked = frozenset(
             switch
-            for switch in network.switch_ids
-            if qubits.get(switch, 0) < _RELAY_QUBITS
+            for switch in compress(snapshot.ids, snapshot.is_switch)
+            if get(switch, 0) < _RELAY_QUBITS
         )
         forbidden = (
             frozenset(forbidden_fibers) if forbidden_fibers else frozenset()
