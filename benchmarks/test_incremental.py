@@ -35,7 +35,6 @@ from repro.exec.cache import ChannelCache
 from repro.incremental import IncrementalRouter
 from repro.incremental import delta as incremental_delta
 from repro.incremental.events import DeltaKind
-from repro.incremental.warmstart import WarmStartIndex
 from repro.sim.workload import ChurnSpec, generate_churn
 from repro.topology import TopologyConfig, waxman_network
 
@@ -75,7 +74,6 @@ def _timed_run(network, users, events, mode, accelerated):
     """Run one mode over the stream; returns (router, metrics dict)."""
     if accelerated:
         cache = ChannelCache()
-        cache.warmstart = WarmStartIndex()
         cache_ctx = exec_cache.caching(cache)
         bus_ctx = incremental_delta.tracking(scope="region", radius=2)
     else:
@@ -114,7 +112,6 @@ def _timed_run(network, users, events, mode, accelerated):
     }
     if cache is not None:
         record["cache"] = cache.stats().to_dict()
-        record["warmstart"] = cache.warmstart.stats()
     return router, record
 
 
@@ -215,7 +212,7 @@ def test_incremental_churn(results_dir, capsys):
         print()
         for record in payload["runs"]:
             label = record["mode"] + (
-                "+cache+warmstart" if record["accelerated"] else ""
+                "+cache" if record["accelerated"] else ""
             )
             print(
                 f"  {label}: {record['events_per_second']:.0f} ev/s "

@@ -1230,7 +1230,6 @@ def _command_incremental(args: argparse.Namespace) -> int:
     """
     from repro.exec import cache as exec_cache
     from repro.incremental import IncrementalRouter, tracking
-    from repro.incremental.warmstart import WarmStartIndex
     from repro.sim.workload import ChurnSpec, generate_churn
 
     try:
@@ -1261,7 +1260,6 @@ def _command_incremental(args: argparse.Namespace) -> int:
             router.run(events)
             return router, None
         cache = exec_cache.ChannelCache()
-        cache.warmstart = WarmStartIndex()
         with exec_cache.caching(cache), tracking(
             scope=args.scope, radius=args.radius
         ):
@@ -1291,8 +1289,6 @@ def _command_incremental(args: argparse.Namespace) -> int:
             f"{stats.invalidations} invalidations "
             f"{stats.invalidations_by_cause}"
         )
-        if cache.warmstart is not None:
-            print(f"  warmstart: {cache.warmstart.stats()}")
     print(f"digest: {inc.digest()}")
 
     if not args.skip_baseline:

@@ -124,9 +124,6 @@ def dijkstra(
         cached = cache.get(cache_key)
         if cached is not None:
             return cached
-        warmed = cache.warm_lookup(cache_key, network)
-        if warmed is not None:
-            return warmed
     snapshot = network.routing_snapshot()
     start = snapshot.index.get(source)
     if start is None:

@@ -214,10 +214,6 @@ class ChannelCache:
         self._evictions = 0
         self._invalidations = 0
         self._invalidations_by_cause: Dict[str, int] = {}
-        #: Optional :class:`~repro.incremental.warmstart.WarmStartIndex`
-        #: consulted (via :meth:`warm_lookup`) after an exact-key miss
-        #: and fed by :meth:`put`.  ``None`` disables warm starts.
-        self.warmstart = None
 
     # ------------------------------------------------------------------
     # Key derivation
@@ -281,12 +277,7 @@ class ChannelCache:
         return dict(dist), dict(prev)
 
     def put(self, key: CacheKey, value: CacheValue) -> None:
-        """Store ``(dist, prev)`` under *key*, evicting LRU overflow.
-
-        Also records the result in the attached warm-start index (if
-        any), so later searches in the same family can reuse it across
-        blocked-set drift.
-        """
+        """Store ``(dist, prev)`` under *key*, evicting LRU overflow."""
         dist, prev = value
         evicted = 0
         with self._lock:
@@ -296,30 +287,10 @@ class ChannelCache:
                 self._entries.popitem(last=False)
                 evicted += 1
             self._evictions += evicted
-        warmstart = self.warmstart
-        if warmstart is not None:
-            warmstart.record(key, value)
         if evicted:
             metrics = obs_metrics.active()
             if metrics is not None:
                 metrics.inc("repro.exec.cache.evictions", evicted)
-
-    def warm_lookup(
-        self, key: CacheKey, network: "QuantumNetwork"
-    ) -> Optional[CacheValue]:
-        """Provably-identical result from the warm-start index, or None.
-
-        Consulted by the channel search after an exact-key miss; a warm
-        hit is re-stored under *key* so the exact cache serves repeats.
-        """
-        warmstart = self.warmstart
-        if warmstart is None:
-            return None
-        value = warmstart.lookup(key, network)
-        if value is None:
-            return None
-        self.put(key, value)
-        return value
 
     # ------------------------------------------------------------------
     # Invalidation

@@ -1,8 +1,7 @@
 """Incremental re-solve engine: delta-aware routing for the hot path.
 
 See docs/INCREMENTAL.md for the event taxonomy, the splice-vs-escalate
-decision table, the warm-start soundness argument, and the metric
-catalog.
+decision table, cache hygiene, and the metric catalog.
 """
 
 from repro.incremental.delta import (
@@ -24,7 +23,6 @@ from repro.incremental.tree import (
     classify_break,
     splice_solution,
 )
-from repro.incremental.warmstart import WarmStartIndex
 
 __all__ = [
     "DeltaBus",
@@ -33,7 +31,6 @@ __all__ = [
     "EventOutcome",
     "GraphDelta",
     "IncrementalRouter",
-    "WarmStartIndex",
     "DISJOINT",
     "REPLACEABLE",
     "STRUCTURAL",

@@ -10,8 +10,7 @@ aggregates (:meth:`digest`):
 * ``mode="incremental"`` — the hot path: the damaged topology view is
   maintained by applying each delta in place (O(degree) per event), the
   break classification tests only the firing element, and channel
-  searches benefit from whatever exact cache / warm-start index the
-  caller activated;
+  searches benefit from whatever exact cache the caller activated;
 * ``mode="from_scratch"`` — the reference: every event rebuilds the
   damaged view with a full :func:`~repro.extensions.recovery.
   apply_failures` copy and re-derives the break set against *all*

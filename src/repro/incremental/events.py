@@ -16,8 +16,7 @@ Every change the online hot path reacts to is one of five events:
 The first four are **structural**: they change the routing fingerprint
 and therefore where channel searches can go.  Capacity crossings are
 **residual-only**: the fingerprint is unchanged and only the blocked-set
-component of cache keys moves, which is what makes warm-started searches
-(:mod:`repro.incremental.warmstart`) sound for them.
+component of cache keys moves.
 
 Events are frozen, hashable, and carry a canonical target (fiber
 endpoint pairs are normalized through

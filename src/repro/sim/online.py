@@ -17,21 +17,29 @@ layer on top of the routing algorithms:
   telemetry, the metrics an operator dimensioning switch memory cares
   about.
 
-**Resilient mode** (the robustness layer): give the scheduler a
-:class:`~repro.resilience.faults.FaultInjector` and/or a
-:class:`~repro.resilience.retry.RetryPolicy` and the run loop becomes
-fault-aware:
+There is one run loop.  Each slot passes through the same stages —
+faults, release, replica failover and repair, admission, route, retry —
+and a stage whose input is absent does nothing, so a scheduler with no
+fault injector, retry policy, admission controller, replication or
+deadline is exactly the paper's loss system.  The optional inputs make
+the loop fault-aware and overload-aware:
 
-* injected faults fire *mid-service*; reservations whose tree loses a
-  fiber or switch are re-routed in place via capacity-aware incremental
-  repair (:func:`repro.extensions.recovery.repair_solution`), keeping
-  their surviving channels' qubits reserved;
+* a :class:`~repro.resilience.faults.FaultInjector` fires faults
+  *mid-service*; reservations whose tree loses a fiber or switch are
+  re-routed in place via capacity-aware incremental repair
+  (:func:`repro.extensions.recovery.repair_solution`), keeping their
+  surviving channels' qubits reserved;
 * when no full repair exists, the scheduler **degrades gracefully**: it
   keeps serving the largest user subset still spanned by the surviving
   channels instead of hard-failing the whole group;
-* blocked requests are paced by the retry policy (backoff instead of
-  hammering every slot) and abandoned when their deadline passes;
-* everything is accounted in a deterministic
+* a :class:`~repro.resilience.retry.RetryPolicy` paces blocked requests
+  (backoff instead of hammering every slot), and requests are abandoned
+  when their deadline passes;
+* an :class:`~repro.admission.AdmissionController` throttles, sheds or
+  degrades arrivals before any qubits are reserved, and a
+  :class:`~repro.tenancy.replicas.ReplicationPolicy` serves each group
+  by redundant trees;
+* a run with any of these inputs is accounted in a deterministic
   :class:`~repro.resilience.report.ResilienceReport` attached to the
   result — every abandoned request is attributable to a cause.
 """
@@ -39,14 +47,13 @@ fault-aware:
 from __future__ import annotations
 
 import logging
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import repro.obs.metrics as obs_metrics
 import repro.obs.trace as obs_trace
 from repro.core.conflict_free import solve_conflict_free
-from repro.core.ledger import CapacityError, CapacityLedger
+from repro.core.ledger import CapacityLedger
 from repro.core.prim_based import solve_prim
 from repro.core.problem import Channel, MUERPSolution
 from repro.network.graph import QuantumNetwork
@@ -201,7 +208,7 @@ class OnlineResult:
 
 @dataclass
 class _Reservation:
-    """Mutable in-flight service record (resilient loop only)."""
+    """Mutable in-flight service record of one admitted request."""
 
     request: EntanglementRequest
     solution: MUERPSolution
@@ -270,14 +277,19 @@ def _largest_served_component(
 class OnlineScheduler:
     """Slot-driven online admission and routing.
 
+    One loop serves every run.  Its fault, retry, admission and
+    replication stages do nothing when their inputs are absent, so with
+    none of them (and no request deadline) the loop is the paper's
+    fault-free loss system and the result carries no resilience report.
+
     Args:
         network: The shared quantum network.
         method: Per-request solver: ``"prim"`` (default) or
             ``"conflict_free"``.
         rng: Random source forwarded to the solver.
         fault_injector: Optional
-            :class:`~repro.resilience.faults.FaultInjector`; enables the
-            fault-aware run loop (mid-service repair + degradation).
+            :class:`~repro.resilience.faults.FaultInjector`; fires
+            faults mid-service (repair + degradation).
         retry_policy: Optional
             :class:`~repro.resilience.retry.RetryPolicy` pacing blocked
             requests' re-admission attempts.
@@ -332,10 +344,25 @@ class OnlineScheduler:
         self.replication = replication
 
     def run(self, requests: Sequence[EntanglementRequest]) -> OnlineResult:
-        """Simulate the whole arrival stream; returns the telemetry."""
+        """Simulate the whole arrival stream; returns the telemetry.
+
+        Raises:
+            ValueError: Duplicate request names, or a request naming a
+                node that is not a quantum user.
+            UnknownNodeError: A request names a node not in the network.
+        """
         names = [r.name for r in requests]
         if len(set(names)) != len(names):
             raise ValueError("request names must be unique")
+        # Reject bad groups before slot 0, not when (and only if) the
+        # solver first reaches them mid-run.
+        for request in requests:
+            for user in request.users:
+                if not self.network.is_user(user):
+                    raise ValueError(
+                        f"request {request.name!r}: {user!r} is not a "
+                        "quantum user"
+                    )
         resilient = (
             self.fault_injector is not None
             or self.retry_policy is not None
@@ -349,108 +376,17 @@ class OnlineScheduler:
             requests=len(requests),
             resilient=resilient,
         ):
-            if resilient:
-                return self._run_resilient(requests)
-            return self._run_legacy(requests)
+            result = self._run(requests)
+        if not resilient:
+            # Nothing beyond served/rejected can happen to a plain run,
+            # so it carries no report to attribute.
+            result = replace(result, resilience=None)
+        return result
 
     # ------------------------------------------------------------------
-    # Legacy (fault-free) loop — the paper-faithful loss system.
+    # The run loop: faults, release, repair, admission, route, retry.
     # ------------------------------------------------------------------
-    def _run_legacy(
-        self, requests: Sequence[EntanglementRequest]
-    ) -> OnlineResult:
-        metrics = obs_metrics.active()
-        residual = self.network.residual_qubits()
-        budgets = dict(residual)
-        peak_usage: Dict[Hashable, int] = {s: 0 for s in residual}
-
-        #: (release_slot, usage dict) of active reservations.
-        active: List[Tuple[int, Dict[Hashable, int]]] = []
-        #: requests waiting for capacity, with their give-up slot.
-        waiting: List[Tuple[int, EntanglementRequest]] = []
-        outcomes: Dict[str, RequestOutcome] = {}
-
-        by_arrival: Dict[int, List[EntanglementRequest]] = {}
-        for request in requests:
-            by_arrival.setdefault(request.arrival, []).append(request)
-        if not requests:
-            return OnlineResult((), 0, peak_usage)
-        horizon = max(r.arrival + r.max_wait for r in requests) + 1
-
-        last_activity = 0
-        for slot in range(horizon + 1):
-            # 1. Release expired reservations.
-            still_active = []
-            for release_slot, usage in active:
-                if release_slot <= slot:
-                    for switch, qubits in usage.items():
-                        residual[switch] += qubits
-                else:
-                    still_active.append((release_slot, usage))
-            active = still_active
-
-            # 2. Gather this slot's candidates: new arrivals + waiters.
-            candidates = list(by_arrival.get(slot, []))
-            retained: List[Tuple[int, EntanglementRequest]] = []
-            for give_up, request in waiting:
-                candidates.append(request)
-            waiting = []
-
-            # 3. Try to admit each candidate (arrival order).
-            for request in candidates:
-                solution = self._route(request, residual)
-                if solution is not None:
-                    usage = solution.switch_usage()
-                    for switch, qubits in usage.items():
-                        residual[switch] -= qubits
-                        used_now = budgets[switch] - residual[switch]
-                        peak_usage[switch] = max(peak_usage[switch], used_now)
-                    release_slot = slot + request.hold
-                    active.append((release_slot, usage))
-                    if metrics is not None:
-                        metrics.inc("sim.online.admitted")
-                        metrics.observe(
-                            "sim.online.queue_wait_slots",
-                            slot - request.arrival,
-                        )
-                    outcomes[request.name] = RequestOutcome(
-                        request=request,
-                        accepted=True,
-                        solution=solution,
-                        start_slot=slot,
-                        release_slot=release_slot,
-                        disposition="served",
-                        served_users=tuple(sorted(request.users, key=repr)),
-                    )
-                    last_activity = max(last_activity, release_slot)
-                elif slot < request.arrival + request.max_wait:
-                    retained.append((request.arrival + request.max_wait, request))
-                else:
-                    if metrics is not None:
-                        metrics.inc("sim.online.rejected")
-                    outcomes[request.name] = RequestOutcome(
-                        request=request,
-                        accepted=False,
-                        solution=None,
-                        start_slot=None,
-                        release_slot=None,
-                        disposition="rejected",
-                    )
-            waiting = retained
-
-        ordered = tuple(outcomes[r.name] for r in requests)
-        return OnlineResult(
-            outcomes=ordered,
-            slots_simulated=max(horizon, last_activity),
-            peak_qubit_usage=peak_usage,
-        )
-
-    # ------------------------------------------------------------------
-    # Resilient loop — faults, retries, deadlines, degradation.
-    # ------------------------------------------------------------------
-    def _run_resilient(
-        self, requests: Sequence[EntanglementRequest]
-    ) -> OnlineResult:
+    def _run(self, requests: Sequence[EntanglementRequest]) -> OnlineResult:
         from repro.admission.backpressure import (
             TIER_DEGRADED,
             TIER_FULL,
@@ -594,6 +530,8 @@ class OnlineScheduler:
                 )
             )
             if metrics is not None:
+                if status == report_mod.REJECTED:
+                    metrics.inc("sim.online.rejected")
                 metrics.inc(f"sim.online.dispositions.{status}")
                 if request.tenant:
                     metrics.inc(
@@ -1202,12 +1140,13 @@ class OnlineScheduler:
     def _route(
         self,
         request: EntanglementRequest,
-        residual: "Dict[Hashable, int] | CapacityLedger",
+        ledger: CapacityLedger,
         network: Optional[QuantumNetwork] = None,
         method: Optional[str] = None,
         users: Optional[Tuple[Hashable, ...]] = None,
     ) -> Optional[MUERPSolution]:
-        """Route one request against *residual* without mutating it.
+        """Route one request against *ledger*'s availability without
+        reserving anything.
 
         *method* overrides the scheduler's solver (hedged attempts);
         *users* overrides the request's group (brownout degradation).
@@ -1215,11 +1154,7 @@ class OnlineScheduler:
         net = self.network if network is None else network
         group = request.users if users is None else users
         how = self.method if method is None else method
-        budget = (
-            residual.as_dict()
-            if isinstance(residual, CapacityLedger)
-            else dict(residual)
-        )
+        budget = ledger.as_dict()
         if how == "prim":
             solution = solve_prim(
                 net, group, rng=self.rng, residual=budget

@@ -3,8 +3,7 @@
 The incremental router's entire value proposition rests on one
 contract: for any valid delta stream, the incrementally maintained
 trees and aggregates are **byte-identical** to the from-scratch
-reference — with or without the exact cache, the warm-start index, and
-the delta bus.  Hypothesis drives seeded topologies and churn streams
+reference — with or without the exact cache and the delta bus.  Hypothesis drives seeded topologies and churn streams
 through every configuration and compares sha256 digests of the
 canonical aggregates.
 """
@@ -19,7 +18,6 @@ from repro.exec import cache as exec_cache
 from repro.exec.cache import ChannelCache
 from repro.incremental import IncrementalRouter
 from repro.incremental import delta as incremental_delta
-from repro.incremental.warmstart import WarmStartIndex
 from repro.sim.workload import ChurnSpec, generate_churn
 from repro.topology import TopologyConfig, waxman_network
 from repro.topology.extras import grid_network
@@ -57,7 +55,6 @@ def _run(
     method: str,
     mode: str,
     caching: bool = False,
-    warmstart: bool = False,
     bus_scope: str = "",
 ):
     network = _network(kind, seed)
@@ -71,8 +68,6 @@ def _run(
         router.run(events)
         return router
     cache = ChannelCache()
-    if warmstart:
-        cache.warmstart = WarmStartIndex()
     cache_ctx = (
         exec_cache.caching(cache) if caching else _null()
     )
@@ -131,7 +126,7 @@ def test_cache_and_warmstart_never_change_results(seed, n_events, mix):
     cached = _run(
         "grid", seed, n_events, mix, "prim", "incremental", caching=True
     )
-    warmed = _run(
+    scoped = _run(
         "grid",
         seed,
         n_events,
@@ -139,11 +134,10 @@ def test_cache_and_warmstart_never_change_results(seed, n_events, mix):
         "prim",
         "incremental",
         caching=True,
-        warmstart=True,
         bus_scope="region",
     )
     assert plain.digest() == cached.digest()
-    assert plain.digest() == warmed.digest()
+    assert plain.digest() == scoped.digest()
 
 
 @settings(max_examples=6, deadline=None, derandomize=True)

@@ -184,3 +184,87 @@ class TestScheduler:
             [EntanglementRequest("A", tuple(users[:4]), arrival=0)]
         )
         assert result.acceptance_ratio == 1.0
+
+
+def _corridor_flood(n, max_wait=0):
+    """*n* alternating user pairs arriving together at slot 0."""
+    pairs = (("a1", "a2"), ("b1", "b2"))
+    return [
+        EntanglementRequest(
+            f"req-{k}", pairs[k % 2], arrival=0, hold=2, max_wait=max_wait
+        )
+        for k in range(n)
+    ]
+
+
+class TestRejectionCounter:
+    @pytest.mark.parametrize("retry", [False, True])
+    def test_counts_every_rejected_outcome(self, corridor, retry):
+        from repro.obs.metrics import collecting
+        from repro.resilience.retry import FixedRetryPolicy
+
+        policy = FixedRetryPolicy(delay=1, max_attempts=2) if retry else None
+        scheduler = OnlineScheduler(corridor, rng=0, retry_policy=policy)
+        with collecting() as registry:
+            result = scheduler.run(_corridor_flood(6, max_wait=3))
+        rejected = sum(o.disposition == "rejected" for o in result.outcomes)
+        assert rejected > 0
+        counters = registry.counters()
+        assert counters["sim.online.rejected"] == rejected
+        assert counters["sim.online.dispositions.rejected"] == rejected
+        assert counters["sim.online.admitted"] == result.n_accepted
+
+
+class TestUserValidation:
+    """Bad groups fail before slot 0, whatever admission would do."""
+
+    @staticmethod
+    def _shed_all_but_first():
+        from repro.admission import (
+            AdmissionController,
+            PolicyChain,
+            TokenBucketLimiter,
+        )
+
+        return AdmissionController(
+            policy=PolicyChain([TokenBucketLimiter(rate=0.01, capacity=1.0)])
+        )
+
+    def _requests(self, bad_users):
+        # The bad request arrives last, after the only token is spent,
+        # so an admission controller would shed it unrouted.
+        return [
+            EntanglementRequest("good", ("a1", "a2"), arrival=0),
+            EntanglementRequest("bad", bad_users, arrival=5),
+        ]
+
+    @pytest.mark.parametrize("admission", [False, True])
+    def test_unknown_node(self, corridor, admission):
+        from repro.network.errors import UnknownNodeError
+
+        scheduler = OnlineScheduler(
+            corridor,
+            rng=0,
+            admission=self._shed_all_but_first() if admission else None,
+        )
+        with pytest.raises(UnknownNodeError):
+            scheduler.run(self._requests(("a1", "ghost")))
+
+    @pytest.mark.parametrize("admission", [False, True])
+    def test_switch_is_not_a_user(self, corridor, admission):
+        scheduler = OnlineScheduler(
+            corridor,
+            rng=0,
+            admission=self._shed_all_but_first() if admission else None,
+        )
+        with pytest.raises(ValueError, match="request 'bad'.*'mid'"):
+            scheduler.run(self._requests(("a1", "mid")))
+
+    def test_admission_would_have_shed_the_bad_request(self, corridor):
+        # The premise of the tests above: with a valid group in its
+        # place, the controller sheds the late request without routing.
+        scheduler = OnlineScheduler(
+            corridor, rng=0, admission=self._shed_all_but_first()
+        )
+        result = scheduler.run(self._requests(("b1", "b2")))
+        assert result.outcome_for("bad").disposition == "shed"
