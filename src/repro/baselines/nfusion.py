@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
-from repro.core.channel import best_channels_from
+from repro.core.channel import RoundSearches, best_channels_from
 from repro.core.optimal import channel_sort_key
 from repro.core.problem import (
     Channel,
@@ -78,14 +78,14 @@ def solve_nfusion(
     if center is not None and center not in user_list:
         raise ValueError(f"center {center!r} is not among the users")
 
+    fusion = fusion_log_success(
+        len(user_list), network.params.swap_prob, fusion_penalty
+    )
     best: Optional[Tuple[float, List[Channel]]] = None
     for candidate in centers:
         star = _route_star(network, candidate, user_list)
         if star is None:
             continue
-        fusion = fusion_log_success(
-            len(user_list), network.params.swap_prob, fusion_penalty
-        )
         total = sum(c.log_rate for c in star) + fusion
         if best is None or total > best[0]:
             best = (total, star)
@@ -114,15 +114,16 @@ def _route_star(
     """Route channels center→every other user under residual capacity.
 
     Targets are admitted in descending single-shot rate order (the
-    baseline's greedy), re-routing after each admission since qubit
-    deductions change the landscape.  ``None`` when any user becomes
-    unreachable.
+    baseline's greedy), re-routing after each admission that blocks a
+    switch, since only such deductions change the landscape.  ``None``
+    when any user becomes unreachable.
     """
     residual = network.residual_qubits()
     pending = [u for u in user_list if u != center]
     star: List[Channel] = []
+    searches = RoundSearches(best_channels_from, network, residual)
     while pending:
-        found = best_channels_from(network, center, pending, residual)
+        found = searches.channels_from(center, pending)
         best_target = None
         best_channel = None
         for target, channel in found.items():
@@ -134,6 +135,7 @@ def _route_star(
             return None
         for switch in best_channel.switches:
             residual[switch] -= 2
+        searches.reserved(best_channel)
         star.append(best_channel)
         pending.remove(best_target)
     return star

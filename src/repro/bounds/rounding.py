@@ -38,7 +38,7 @@ from typing import Hashable, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.bounds.lp import LPRelaxationResult, solve_relaxation
-from repro.core.channel import best_channels_from
+from repro.core.channel import RoundSearches, best_channels_from
 from repro.core.ledger import CapacityLedger
 from repro.core.problem import (
     Channel,
@@ -142,6 +142,7 @@ def _repair(
     joined under the residual capacities.
     """
     added = 0
+    searches = RoundSearches(best_channels_from, network, ledger)
     while unions.n_components > 1:
         best: Optional[Channel] = None
         for source in users:
@@ -150,7 +151,7 @@ def _repair(
             ]
             if not targets:
                 continue
-            found = best_channels_from(network, source, targets, ledger)
+            found = searches.channels_from(source, targets)
             for channel in found.values():
                 if best is None or channel.log_rate > best.log_rate:
                     best = channel
@@ -158,6 +159,7 @@ def _repair(
             raise _AttemptFailed("components cannot be reconnected")
         if not ledger.try_reserve_channel(best):  # pragma: no cover
             raise _AttemptFailed("residual search returned a full switch")
+        searches.reserved(best)
         a, b = best.endpoints
         unions.union(a, b)
         chosen.append(best)

@@ -21,14 +21,29 @@ Implementation notes (equivalent reformulation):
 * The search loop walks the network's int-indexed routing snapshot
   with an inlined indexed binary heap, so a call does no per-step
   method calls or node-object lookups.
+* :class:`RoundSearches` carries one solve's searches across its
+  reservation rounds and searches a source again only after a
+  reservation blocks a switch, so a round that blocks nothing costs no
+  search at all.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
+from repro.core.ledger import QUBITS_PER_CHANNEL
 from repro.core.problem import Channel
 from repro.core.rates import swap_log_rate
 from repro.exec import cache as exec_cache
@@ -41,6 +56,7 @@ __all__ = [
     "trace_path",
     "find_best_channel",
     "best_channels_from",
+    "RoundSearches",
     "all_pairs_best_channels",
 ]
 
@@ -342,6 +358,72 @@ def best_channels_from(
         metrics.inc("core.channel_search.single_source_calls")
         metrics.inc("core.channel_search.channels_found", len(channels))
     return channels
+
+
+class RoundSearches:
+    """One solve's :func:`best_channels_from` results, reused across rounds.
+
+    Algorithm 4, Algorithm 3's phase 2, the N-FUSION star and the repair
+    loops all run rounds of "search from each source, take the best
+    channel, reserve it".  The search reads *residual* only through the
+    "≥ 2 free qubits" relay test, so until a reservation takes some
+    switch below :data:`~repro.core.ledger.QUBITS_PER_CHANNEL` free
+    qubits a source's search returns the same channels in the same
+    order — the argument that makes the channel cache's blocked-set key
+    exact.  :meth:`channels_from` therefore searches a source once and
+    answers later rounds from the stored channels; :meth:`reserved`
+    drops every stored search once a reservation blocks a switch.
+
+    *search* is the caller's ``best_channels_from`` binding, so a
+    patched or wrapped module attribute still sees every search.  The
+    stored searches live as long as the object, one solve call.
+    """
+
+    __slots__ = ("_search", "_network", "_residual", "_found")
+
+    def __init__(
+        self,
+        search: Callable[..., Dict[Hashable, Channel]],
+        network: QuantumNetwork,
+        residual: Dict[Hashable, int],
+    ) -> None:
+        self._search = search
+        self._network = network
+        self._residual = residual
+        # source -> (targets searched, channels found for them)
+        self._found: Dict[
+            Hashable, Tuple[FrozenSet[Hashable], Dict[Hashable, Channel]]
+        ] = {}
+
+    def channels_from(
+        self, source: Hashable, targets: Iterable[Hashable]
+    ) -> Dict[Hashable, Channel]:
+        """What ``search(network, source, targets, residual)`` returns now.
+
+        Served from the stored search when the blocked set has not
+        changed since and *targets* lies within the targets searched
+        then; the result keeps *targets*' order either way.
+        """
+        target_list = list(targets)
+        stored = self._found.get(source)
+        if stored is not None and stored[0].issuperset(target_list):
+            channels = stored[1]
+            return {t: channels[t] for t in target_list if t in channels}
+        channels = self._search(
+            self._network, source, target_list, self._residual
+        )
+        self._found[source] = (frozenset(target_list), channels)
+        return channels
+
+    def reserved(self, channel: Channel) -> None:
+        """Note that *channel*'s qubits were just taken from *residual*.
+
+        Only its transit switches lost qubits, so the blocked set can
+        have changed only if one of them is now below the threshold.
+        """
+        get = self._residual.get
+        if any(get(s, 0) < QUBITS_PER_CHANNEL for s in channel.switches):
+            self._found.clear()
 
 
 def all_pairs_best_channels(

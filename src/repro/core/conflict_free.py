@@ -13,14 +13,16 @@ set can overload switches.  Algorithm 3 repairs this in two phases:
   into several unions.  Repeatedly find, over all user pairs in distinct
   unions, the maximum-rate channel that respects residual capacity
   (Algorithm 1 with the residual map), add the best one and merge, until
-  one union remains or no channel exists (→ infeasible, rate 0).
+  one union remains or no channel exists (→ infeasible, rate 0).  A
+  source's search is reused across rounds until a reservation blocks a
+  switch (:class:`~repro.core.channel.RoundSearches`).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.channel import best_channels_from
+from repro.core.channel import RoundSearches, best_channels_from
 from repro.core.ledger import CapacityLedger
 from repro.core.optimal import channel_sort_key, solve_optimal
 from repro.core.problem import (
@@ -99,6 +101,7 @@ def solve_conflict_free(
 
             # Phase 2: reconnect remaining unions with capacity-aware
             # routing.
+            searches = RoundSearches(best_channels_from, network, ledger)
             while unions.n_components > 1:
                 best: Optional[Channel] = None
                 for index, source in enumerate(user_list):
@@ -109,9 +112,7 @@ def solve_conflict_free(
                     ]
                     if not targets:
                         continue
-                    found = best_channels_from(
-                        network, source, targets, ledger
-                    )
+                    found = searches.channels_from(source, targets)
                     for channel in found.values():
                         if best is None or channel_sort_key(channel) < channel_sort_key(best):
                             best = channel
@@ -121,6 +122,7 @@ def solve_conflict_free(
                 assert admitted, (
                     "capacity-aware search returned an unroutable channel"
                 )
+                searches.reserved(best)
                 unions.union(*best.endpoints)
                 selected.append(best)
     except _Infeasible:

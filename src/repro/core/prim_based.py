@@ -8,13 +8,16 @@ qubits, and moves the newly connected user into the tree.  After
 finds no channel the instance is declared infeasible (rate 0).
 
 Unlike Algorithm 3 this needs no Algorithm 2 output to start from.
+A source is searched once and searched again only after a round blocks
+a switch (:class:`~repro.core.channel.RoundSearches`), so a solve whose
+rounds block nothing runs ``|U| − 1`` searches.
 """
 
 from __future__ import annotations
 
 from typing import Hashable, Iterable, List, Optional, Set
 
-from repro.core.channel import best_channels_from
+from repro.core.channel import RoundSearches, best_channels_from
 from repro.core.ledger import CapacityLedger
 from repro.core.optimal import channel_sort_key
 from repro.core.problem import (
@@ -71,21 +74,21 @@ def solve_prim(
     remaining: Set[Hashable] = set(user_list) - {start}
     ledger = CapacityLedger.adopt(residual, network)
     selected: List[Channel] = []
+    searches = RoundSearches(best_channels_from, network, ledger)
 
     try:
         with ledger.transaction():
             while remaining:
                 best: Optional[Channel] = None
                 for source in connected:
-                    found = best_channels_from(
-                        network, source, remaining, ledger
-                    )
+                    found = searches.channels_from(source, remaining)
                     for channel in found.values():
                         if best is None or channel_sort_key(channel) < channel_sort_key(best):
                             best = channel
                 if best is None:
                     raise _Infeasible()
                 ledger.reserve_channel(best)
+                searches.reserved(best)
                 newcomer = best.endpoints[1]
                 remaining.discard(newcomer)
                 connected.append(newcomer)

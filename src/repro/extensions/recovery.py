@@ -22,7 +22,7 @@ from contextlib import nullcontext as _nullcontext
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
-from repro.core.channel import best_channels_from
+from repro.core.channel import RoundSearches, best_channels_from
 from repro.core.optimal import channel_sort_key
 from repro.core.problem import Channel, MUERPSolution, infeasible_solution
 from repro.network.graph import QuantumNetwork
@@ -168,6 +168,7 @@ def repair_solution(
         unions.union(*channel.endpoints)
 
     new_channels: List[Channel] = []
+    searches = RoundSearches(best_channels_from, damaged, residual)
     while unions.n_components > 1:
         best: Optional[Channel] = None
         for index, source in enumerate(users):
@@ -176,7 +177,7 @@ def repair_solution(
             ]
             if not targets:
                 continue
-            found = best_channels_from(damaged, source, targets, residual)
+            found = searches.channels_from(source, targets)
             for candidate in found.values():
                 if best is None or channel_sort_key(candidate) < channel_sort_key(best):
                     best = candidate
@@ -193,6 +194,7 @@ def repair_solution(
             )
         for switch in best.switches:
             residual[switch] -= 2
+        searches.reserved(best)
         unions.union(*best.endpoints)
         new_channels.append(best)
 
