@@ -6,15 +6,18 @@ hole:
 
 * on capacity-tight **toy** instances, the branch-and-bound exact
   solver gives the true optimum — and doubles as a soundness check on
-  the LP bound (``bound ≥ exact``);
-* at **fig scale** (where exact search explodes), the
-  ``repro.bounds`` LP relaxation certifies an upper bound, so every
-  heuristic gets a *certified* gap instead of an unverifiable one.
+  the certified bound (``bound ≥ exact``);
+* at **fig scale** (where exact search explodes),
+  :func:`repro.bounds.gap.trial_bounds` certifies an upper bound, so
+  every heuristic gets a *certified* gap instead of an unverifiable
+  one.  Algorithm 2's rate bounds every tree; a network where a
+  heuristic reaches it is certified optimal, and the capacitated LP
+  runs only on the others.
 
 Archives ``results/optimality_gap.txt`` (human table) and
-``results/BENCH_bounds.json`` (per-tier bound, best-heuristic gap and
-LP solve-time p50/p95, plus a same-seed double-run determinism
-digest).
+``results/BENCH_bounds.json`` (per-tier bound, certified networks,
+best-heuristic gap and bound-time p50/p95, plus a same-seed double-run
+determinism digest).
 """
 
 from __future__ import annotations
@@ -26,8 +29,7 @@ import time
 import numpy as np
 
 from repro.analysis.tables import Table
-from repro.bounds.gap import optimality_gap
-from repro.bounds.lp import solve_relaxation
+from repro.bounds.gap import optimality_gap, trial_bounds
 from repro.bounds.rounding import solve_lp_rounding
 from repro.core.conflict_free import solve_conflict_free
 from repro.core.exact import solve_exact
@@ -63,25 +65,28 @@ def _solve_heuristic(name, network, rng):
 
 
 def _measure_tier(name, config, with_exact):
-    """One tier: per-network LP bound + heuristic gaps (+ exact)."""
-    bounds, lp_seconds, exact_gaps = [], [], []
+    """One tier: per-network certified bound + heuristic gaps (+ exact)."""
+    bounds, bound_seconds, exact_gaps = [], [], []
     gaps = {h: [] for h in HEURISTICS}
-    feasible_networks = 0
+    feasible_networks = certified_networks = 0
     for trial, rng in enumerate(spawn_rngs(BENCH_SEED, BENCH_NETWORKS)):
         network = waxman_network(config, rng=rng)
+        rates = {
+            heuristic: _solve_heuristic(
+                heuristic, network, ensure_rng(1000 + trial)
+            ).rate
+            for heuristic in HEURISTICS
+        }
         started = time.perf_counter()
-        relaxation = solve_relaxation(network)
-        lp_seconds.append(time.perf_counter() - started)
-        certificate = relaxation.certificate
-        bounds.append(certificate.rate_bound)
-        if not certificate.feasible:
+        certified = trial_bounds(network, rates)
+        bound_seconds.append(time.perf_counter() - started)
+        bounds.append(certified.capacitated)
+        certified_networks += certified.certified_optimal
+        if certified.capacitated == 0.0:
             continue
         feasible_networks += 1
-        for heuristic in HEURISTICS:
-            solution = _solve_heuristic(
-                heuristic, network, ensure_rng(1000 + trial)
-            )
-            gap = optimality_gap(solution.rate, certificate)
+        for heuristic, rate in rates.items():
+            gap = optimality_gap(rate, certified.capacitated)
             assert gap >= -1e-7, (
                 f"{heuristic} beat the certified bound on tier {name}"
             )
@@ -89,8 +94,8 @@ def _measure_tier(name, config, with_exact):
         if with_exact:
             exact = solve_exact(network)
             if exact.feasible:
-                exact_gap = optimality_gap(exact.rate, certificate)
-                assert exact_gap >= -1e-7, "LP bound below exact optimum"
+                exact_gap = optimality_gap(exact.rate, certified.capacitated)
+                assert exact_gap >= -1e-7, "certified bound below exact optimum"
                 exact_gaps.append(exact_gap)
     best_gaps = [
         min(gaps[h][i] for h in HEURISTICS)
@@ -103,6 +108,7 @@ def _measure_tier(name, config, with_exact):
         "qubits_per_switch": config.qubits_per_switch,
         "networks": BENCH_NETWORKS,
         "feasible_networks": feasible_networks,
+        "certified_networks": certified_networks,
         "mean_bound": float(np.mean(bounds)) if bounds else 0.0,
         "mean_gap_percent": {
             h: 100.0 * float(np.mean(g)) if g else 0.0
@@ -114,8 +120,8 @@ def _measure_tier(name, config, with_exact):
         "exact_gap_percent": (
             100.0 * float(np.mean(exact_gaps)) if exact_gaps else None
         ),
-        "lp_seconds_p50": float(np.percentile(lp_seconds, 50)),
-        "lp_seconds_p95": float(np.percentile(lp_seconds, 95)),
+        "bound_seconds_p50": float(np.percentile(bound_seconds, 50)),
+        "bound_seconds_p95": float(np.percentile(bound_seconds, 95)),
     }
 
 
@@ -129,7 +135,7 @@ def _measure():
 def _digest(tiers):
     """Hash of everything deterministic (bounds + gaps, no timings)."""
     stripped = [
-        {k: v for k, v in tier.items() if not k.startswith("lp_seconds")}
+        {k: v for k, v in tier.items() if not k.startswith("bound_seconds")}
         for tier in tiers
     ]
     blob = json.dumps(stripped, sort_keys=True).encode()
@@ -146,13 +152,17 @@ def test_optimality_gap(benchmark, archive, results_dir):
         [
             "tier",
             "scale",
-            "LP bound (mean)",
+            "bound (mean)",
+            "certified",
             "best heuristic gap",
             "exact gap",
-            "LP p50",
-            "LP p95",
+            "bound p50",
+            "bound p95",
         ],
-        title="Certified optimality gaps vs. the LP relaxation bound",
+        title=(
+            "Certified optimality gaps vs. Algorithm 2's rate "
+            "(capacitated LP only where no heuristic reaches it)"
+        ),
     )
     for tier in tiers:
         table.add_row(
@@ -161,14 +171,15 @@ def test_optimality_gap(benchmark, archive, results_dir):
                 f"{tier['n_switches']}sw/{tier['n_users']}u"
                 f"/Q{tier['qubits_per_switch']}",
                 f"{tier['mean_bound']:.4e}",
+                f"{tier['certified_networks']}/{tier['networks']}",
                 f"{tier['best_heuristic_gap_percent']:.2f}%",
                 (
                     f"{tier['exact_gap_percent']:.2f}%"
                     if tier["exact_gap_percent"] is not None
                     else "—"
                 ),
-                f"{tier['lp_seconds_p50'] * 1e3:.1f}ms",
-                f"{tier['lp_seconds_p95'] * 1e3:.1f}ms",
+                f"{tier['bound_seconds_p50'] * 1e3:.1f}ms",
+                f"{tier['bound_seconds_p95'] * 1e3:.1f}ms",
             ]
         )
     archive("optimality_gap", table.render())

@@ -11,7 +11,9 @@ are within X% of a certified bound":
   solver: randomized rounding of the fractional tree, ledger-checked
   and verifier-audited.
 * :mod:`repro.bounds.gap` — optimality-gap helpers the experiment
-  tables and benchmarks report.
+  tables and benchmarks report, and :func:`trial_bounds`, which
+  certifies a trial with Algorithm 2's rate first and runs the LP only
+  where no capacity-aware method reaches it.
 
 See ``docs/BOUNDS.md`` for the formulation and a gap-table reading
 guide.
@@ -19,9 +21,11 @@ guide.
 
 from repro.bounds.gap import (
     GapAggregate,
+    TrialBounds,
     aggregate_gaps,
     gap_percent,
     optimality_gap,
+    trial_bounds,
 )
 from repro.bounds.lp import (
     BoundCertificate,
@@ -40,6 +44,7 @@ __all__ = [
     "LPRelaxationResult",
     "LPResult",
     "PathColumn",
+    "TrialBounds",
     "aggregate_gaps",
     "compute_bound",
     "gap_percent",
@@ -48,4 +53,5 @@ __all__ = [
     "simplex_solve",
     "solve_lp_rounding",
     "solve_relaxation",
+    "trial_bounds",
 ]

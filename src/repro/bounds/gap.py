@@ -1,4 +1,4 @@
-"""Optimality-gap helpers: solver rates against certified LP bounds.
+"""Optimality gaps, and the certified bounds of one trial network.
 
 The gap of a solution against a :class:`~repro.bounds.lp.BoundCertificate`
 is the relative shortfall in linear-rate space::
@@ -10,25 +10,36 @@ best achievable rate".  Negative gaps beyond :data:`SOUNDNESS_TOLERANCE`
 mean the solver *beat* the bound — impossible for a sound certificate,
 so :func:`aggregate_gaps` counts them as violations (the CI soundness
 gate asserts there are none; capacity-exempt methods must be compared
-against an uncapacitated certificate, see
+against an uncapacitated bound, see
 :data:`repro.core.registry.CAPACITY_EXEMPT_METHODS`).
+
+:func:`trial_bounds` is the one place that decides which bound a trial
+gets.  Algorithm 2's rate is the uncapacitated optimum (Theorem 3), so
+it bounds every capacity-feasible tree as well; the capacitated LP runs
+only when no capacity-aware solver already reached it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence, Union
+from typing import Dict, Mapping, Optional, Sequence, Union
 
-from repro.bounds.lp import BoundCertificate
+import repro.obs.metrics as obs_metrics
+from repro.bounds.lp import BoundCertificate, compute_bound
+from repro.core.optimal import solve_optimal
 from repro.core.problem import MUERPSolution
+from repro.core.registry import CAPACITY_EXEMPT_METHODS
+from repro.network.graph import QuantumNetwork
 
 __all__ = [
     "SOUNDNESS_TOLERANCE",
     "GapAggregate",
+    "TrialBounds",
     "aggregate_gaps",
     "gap_percent",
     "optimality_gap",
+    "trial_bounds",
 ]
 
 #: Relative slack allowed before a negative gap counts as a soundness
@@ -143,3 +154,73 @@ def aggregate_gaps(
             violations=violations,
         )
     return aggregates
+
+
+@dataclass(frozen=True)
+class TrialBounds:
+    """Certified rate bounds of one trial network.
+
+    Attributes:
+        capacitated: Bound on every capacity-feasible tree.
+        uncapacitated: Algorithm 2's rate, the exact optimum once
+            capacity is dropped; the bound of capacity-exempt methods.
+        certified_optimal: A capacity-aware solver reached
+            ``uncapacitated``, so its tree is optimal under capacity
+            too and ``capacitated == uncapacitated``.
+        certificate: The capacitated LP certificate, or ``None`` when
+            the trial was certified without an LP.
+    """
+
+    capacitated: float
+    uncapacitated: float
+    certified_optimal: bool
+    certificate: Optional[BoundCertificate]
+
+    def for_method(self, method: str) -> float:
+        """The bound *method*'s rate must stay below."""
+        if method in CAPACITY_EXEMPT_METHODS:
+            return self.uncapacitated
+        return self.capacitated
+
+
+def trial_bounds(
+    network: QuantumNetwork,
+    rates: Mapping[str, float],
+    *,
+    backend: str = "auto",
+) -> TrialBounds:
+    """Certified bounds for *network* from the method rates already solved.
+
+    Every channel of a capacity-feasible tree relays only through
+    switches with at least 2 qubits, so its rate is at most Algorithm
+    1's best channel for that pair at full budget, and the tree's rate
+    is at most Algorithm 2's maximum spanning tree over those channels.
+    Algorithm 2's rate is therefore a sound bound on every solver.
+
+    * Algorithm 2's rate comes from ``rates`` when the trial ran it,
+      else from :func:`~repro.core.optimal.solve_optimal`, which draws
+      no randomness.
+    * If the best capacity-aware rate in ``rates`` reaches it (within
+      :data:`SOUNDNESS_TOLERANCE`), the trial is certified optimal and
+      no LP runs.
+    * Otherwise the capacitated LP (*backend*) runs once, and the
+      capacitated bound is the smaller of its bound and Algorithm 2's
+      rate.
+    """
+    exempt = sorted(m for m in CAPACITY_EXEMPT_METHODS if m in rates)
+    algorithm2 = (
+        rates[exempt[0]] if exempt else solve_optimal(network).rate
+    )
+    best = max(
+        (r for m, r in rates.items() if m not in CAPACITY_EXEMPT_METHODS),
+        default=None,
+    )
+    if best is not None and best >= algorithm2 * (1.0 - SOUNDNESS_TOLERANCE):
+        metrics = obs_metrics.active()
+        if metrics is not None:
+            metrics.inc("bounds.certified")
+        return TrialBounds(algorithm2, algorithm2, True, None)
+    certificate = compute_bound(network, backend=backend)
+    return TrialBounds(
+        min(certificate.rate_bound, algorithm2), algorithm2, False, certificate
+    )

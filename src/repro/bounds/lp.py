@@ -17,9 +17,10 @@ integral trees:
 
 Every verified integral solution is a 0/1 point of this polytope and
 ``−Σ c_π y_π`` is then exactly the Eq. (2) log rate, so the LP optimum
-is a sound upper bound on any registered solver's achieved rate
-(capacity-exempt methods are bounded by the ``capacitated=False``
-variant, which drops the capacity rows).
+is a sound upper bound on any registered solver's achieved rate.  The
+``capacitated=False`` variant drops the capacity rows; it must dominate
+Algorithm 2, whose exact rate is the uncapacitated bound experiments
+use (:func:`repro.bounds.gap.trial_bounds`).
 
 Because the path universe is exponential, the LP is solved by column
 generation: a restricted master over the columns found so far, priced

@@ -616,6 +616,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _topology_config(**fields) -> TopologyConfig:
+    """``TopologyConfig(**fields)``, its ``ValueError`` as a ``ValidationError``.
+
+    Every subcommand builds its topology here, so an out-of-range value
+    (``--users 0``, ``--qubits -1``) exits 2 with a one-line message
+    instead of a traceback.
+    """
+    try:
+        return TopologyConfig(**fields)
+    except ValidationError:
+        raise
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
+
+
 def _command_list() -> int:
     print("solvers:     ", ", ".join(sorted(SOLVERS)))
     print("topologies:  ", ", ".join(sorted(GENERATORS)))
@@ -624,7 +639,7 @@ def _command_list() -> int:
 
 
 def _command_solve(args: argparse.Namespace) -> int:
-    config = TopologyConfig(
+    config = _topology_config(
         n_switches=args.switches,
         n_users=args.users,
         avg_degree=args.degree,
@@ -678,7 +693,7 @@ def _command_obs(args: argparse.Namespace) -> int:
 
     import repro.obs as obs
 
-    config = TopologyConfig(
+    config = _topology_config(
         n_switches=args.switches,
         n_users=args.users,
         avg_degree=args.degree,
@@ -704,7 +719,7 @@ def _command_obs(args: argparse.Namespace) -> int:
 def _command_stats(args: argparse.Namespace) -> int:
     from repro.network.statistics import degree_histogram, topology_stats
 
-    config = TopologyConfig(
+    config = _topology_config(
         n_switches=args.switches,
         n_users=args.users,
         avg_degree=args.degree,
@@ -722,7 +737,7 @@ def _command_stats(args: argparse.Namespace) -> int:
 def _command_montecarlo(args: argparse.Namespace) -> int:
     from repro.sim.protocol import simulate_solution
 
-    config = TopologyConfig(
+    config = _topology_config(
         n_switches=args.switches, n_users=args.users
     )
     network = generate(args.topology, config, rng=args.seed)
@@ -755,7 +770,7 @@ def _command_resilience(args: argparse.Namespace) -> int:
     from repro.sim.online import OnlineScheduler
     from repro.sim.workload import WorkloadSpec, generate_workload
 
-    config = TopologyConfig(
+    config = _topology_config(
         n_switches=args.switches,
         n_users=args.users,
         qubits_per_switch=args.qubits,
@@ -836,7 +851,7 @@ def _command_admit(args: argparse.Namespace) -> int:
     from repro.sim.online import OnlineScheduler
     from repro.sim.workload import WorkloadSpec, generate_workload
 
-    config = TopologyConfig(
+    config = _topology_config(
         n_switches=args.switches,
         n_users=args.users,
         qubits_per_switch=args.qubits,
@@ -936,7 +951,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     from repro.sim.workload import WorkloadSpec, generate_workload
     from repro.tenancy import ReplicationPolicy, serve_tenants
 
-    config = TopologyConfig(
+    config = _topology_config(
         n_switches=args.switches,
         n_users=args.users,
         qubits_per_switch=args.qubits,
@@ -1238,7 +1253,7 @@ def _command_incremental(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"bad --fault-mix / --events: {exc}", file=sys.stderr)
         return EXIT_VALIDATION_ERROR
-    config = TopologyConfig(
+    config = _topology_config(
         n_switches=args.switches,
         n_users=args.users,
         qubits_per_switch=args.qubits,
@@ -1312,18 +1327,20 @@ def _command_incremental(args: argparse.Namespace) -> int:
 def _command_bounds(args: argparse.Namespace) -> int:
     """Certify one network and gap the requested solvers against it.
 
-    Computes both the capacitated and the uncapacitated LP bound (the
-    latter is what capacity-exempt methods are measured against), runs
-    every ``--method`` plus the LP-rounding solver, and prints the gap
-    table.  Any solver beating its certified bound exits with
-    ``EXIT_VERIFICATION_ERROR`` — that is a library bug, never a
-    legitimate outcome.  ``--verify-determinism`` re-solves relaxation
-    and rounding and fails the same way unless byte-identical.
+    Runs every ``--method`` (default conflict_free, prim and the
+    LP-rounding solver), then takes the network's bounds from
+    :func:`repro.bounds.gap.trial_bounds`: Algorithm 2's rate is the
+    uncapacitated bound, and the capacitated LP runs only when no
+    capacity-aware method reached it.  Any solver beating its certified
+    bound exits with ``EXIT_VERIFICATION_ERROR`` — that is a library
+    bug, never a legitimate outcome.  ``--verify-determinism`` re-solves
+    the relaxation and the rounding and fails the same way unless
+    byte-identical.
     """
     import dataclasses
     import json
 
-    from repro.bounds.gap import SOUNDNESS_TOLERANCE, gap_percent
+    from repro.bounds.gap import SOUNDNESS_TOLERANCE, gap_percent, trial_bounds
     from repro.bounds.lp import solve_relaxation
     from repro.bounds.rounding import solve_lp_rounding
 
@@ -1335,7 +1352,7 @@ def _command_bounds(args: argparse.Namespace) -> int:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION_ERROR
 
-    config = TopologyConfig(
+    config = _topology_config(
         n_switches=args.switches,
         n_users=args.users,
         avg_degree=args.degree,
@@ -1343,16 +1360,16 @@ def _command_bounds(args: argparse.Namespace) -> int:
         swap_prob=args.swap_prob,
     )
     network = generate(args.topology, config, rng=args.seed)
-    relaxation = solve_relaxation(network, backend=args.backend)
-    uncap = solve_relaxation(
-        network, backend=args.backend, capacitated=False
-    )
-    certificate = relaxation.certificate
+    methods = tuple(args.method or ("conflict_free", "prim", "lp_rounding"))
+    solved = [(m, solve(m, network, rng=args.seed).rate) for m in methods]
+    bounds = trial_bounds(network, dict(solved), backend=args.backend)
+    certificate = bounds.certificate
 
     def _comparable(cert):
         return dataclasses.replace(cert, solve_seconds=0.0)
 
     if args.verify_determinism:
+        first = solve_relaxation(network, backend=args.backend)
         again = solve_relaxation(network, backend=args.backend)
         rounded_a = solve_lp_rounding(
             network, rng=args.seed, backend=args.backend
@@ -1361,9 +1378,13 @@ def _command_bounds(args: argparse.Namespace) -> int:
             network, rng=args.seed, backend=args.backend
         )
         if (
-            _comparable(again.certificate) != _comparable(certificate)
-            or again.columns != relaxation.columns
-            or again.values != relaxation.values
+            _comparable(again.certificate) != _comparable(first.certificate)
+            or again.columns != first.columns
+            or again.values != first.values
+            or (
+                certificate is not None
+                and _comparable(certificate) != _comparable(first.certificate)
+            )
         ):
             print("determinism check: FAILED (relaxation differs)")
             return EXIT_VERIFICATION_ERROR
@@ -1373,26 +1394,27 @@ def _command_bounds(args: argparse.Namespace) -> int:
         ):
             print("determinism check: FAILED (rounding differs)")
             return EXIT_VERIFICATION_ERROR
-        print("determinism check: ok (identical certificate and tree)")
+        # Keep stdout a single JSON document under --json.
+        print(
+            "determinism check: ok (identical certificate and tree)",
+            file=sys.stderr if args.json else sys.stdout,
+        )
 
-    methods = tuple(args.method or ("conflict_free", "prim", "lp_rounding"))
     rows = []
     violations = 0
-    for method in methods:
-        solution = solve(method, network, rng=args.seed)
-        bound = (
-            uncap.certificate
-            if method in CAPACITY_EXEMPT_METHODS
-            else certificate
-        )
-        gap = gap_percent(solution.rate, bound)
+    for method, rate in solved:
+        bound = bounds.for_method(method)
+        gap = gap_percent(rate, bound)
         if gap < -100.0 * SOUNDNESS_TOLERANCE:
             violations += 1
-        rows.append((method, solution.rate, bound.rate_bound, gap))
+        rows.append((method, rate, bound, gap))
 
     if args.json:
         payload = {
-            "certificate": {
+            "certified_optimal": bounds.certified_optimal,
+            "capacitated_rate_bound": bounds.capacitated,
+            "uncapacitated_rate_bound": bounds.uncapacitated,
+            "certificate": None if certificate is None else {
                 **dataclasses.asdict(certificate),
                 "rate_bound": certificate.rate_bound,
                 "switch_duals": {
@@ -1400,7 +1422,6 @@ def _command_bounds(args: argparse.Namespace) -> int:
                     for k, v in certificate.switch_duals.items()
                 },
             },
-            "uncapacitated_rate_bound": uncap.certificate.rate_bound,
             "gaps": [
                 {
                     "method": m,
@@ -1414,17 +1435,24 @@ def _command_bounds(args: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(network)
+        if certificate is None:
+            print(
+                "LP bound: not needed (certified optimal: a "
+                "capacity-aware method reached Algorithm 2's rate)"
+            )
+        else:
+            print(
+                f"LP bound: rate ≤ {certificate.rate_bound:.6e} "
+                f"(log {certificate.log_bound:.6f}, backend "
+                f"{certificate.backend}, {certificate.rounds} round(s), "
+                f"{certificate.pivots} pivot(s), "
+                f"{certificate.n_columns} column(s), "
+                f"{'converged' if certificate.dual_feasible else 'early stop'})"
+            )
+        print(f"capacitated bound: rate ≤ {bounds.capacitated:.6e}")
         print(
-            f"LP bound: rate ≤ {certificate.rate_bound:.6e} "
-            f"(log {certificate.log_bound:.6f}, backend "
-            f"{certificate.backend}, {certificate.rounds} round(s), "
-            f"{certificate.pivots} pivot(s), "
-            f"{certificate.n_columns} column(s), "
-            f"{'converged' if certificate.dual_feasible else 'early stop'})"
-        )
-        print(
-            f"uncapacitated bound: rate ≤ "
-            f"{uncap.certificate.rate_bound:.6e}"
+            f"uncapacitated bound (Algorithm 2): rate ≤ "
+            f"{bounds.uncapacitated:.6e}"
         )
         for method, rate, bound_rate, gap in rows:
             print(

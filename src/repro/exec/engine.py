@@ -622,7 +622,7 @@ class ExecutionEngine:
         bounds: tuple = ()
         uncap_bounds: tuple = ()
         if config.bound == "lp":
-            # The certified LP bounds ride through shard results and
+            # The certified bounds ride through shard results and
             # checkpoints under reserved keys, exactly like methods.
             from repro.experiments.runner import BOUND_KEY, UNCAP_BOUND_KEY
 

@@ -32,8 +32,9 @@ from repro.network.graph import QuantumNetwork
 from repro.topology.registry import generate
 from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
 
-#: Reserved keys in per-trial rate maps carrying the certified LP bound
-#: (capacitated) and its uncapacitated variant.  They ride through the
+#: Reserved keys in per-trial rate maps carrying the certified
+#: capacitated bound and the uncapacitated one (Algorithm 2's rate, see
+#: :func:`repro.bounds.gap.trial_bounds`).  They ride through the
 #: checkpoint store and shard merges exactly like method rates, which
 #: is what keeps bounded runs resumable and worker-count invariant.
 BOUND_KEY = "__lp_bound__"
@@ -69,8 +70,9 @@ class ExperimentResult:
 
     When the config enabled bound computation (``config.bound ==
     "lp"``), ``bounds``/``uncap_bounds`` hold the per-trial certified
-    LP rate bounds (aligned with each outcome's ``rates``) and every
-    table gains an optimality-gap-vs-LP-bound column.
+    capacitated and uncapacitated rate bounds (aligned with each
+    outcome's ``rates``) and every table gains an optimality-gap
+    column.
     """
 
     config: ExperimentConfig
@@ -93,7 +95,7 @@ class ExperimentResult:
 
     @property
     def mean_bound(self) -> float:
-        """Mean certified (capacitated) LP rate bound across trials."""
+        """Mean certified capacitated rate bound across trials."""
         if not self.bounds:
             raise ValueError("experiment ran without bound computation")
         return float(np.mean(self.bounds))
@@ -103,8 +105,8 @@ class ExperimentResult:
 
         Capacity-exempt methods (Algorithm 2 under its
         sufficient-capacity assumption) are measured against the
-        uncapacitated relaxation; everything else against the
-        capacitated one.
+        uncapacitated bound; everything else against the capacitated
+        one (see :func:`repro.bounds.gap.trial_bounds`).
         """
         if not self.bounds:
             raise ValueError("experiment ran without bound computation")
@@ -220,35 +222,27 @@ def _attach_bounds(
     config: ExperimentConfig,
     rates: Dict[str, float],
 ) -> None:
-    """Compute the trial's LP bounds and gate every rate against them.
+    """Compute the trial's certified bounds and gate every rate against them.
 
-    Stores the certified bounds under :data:`BOUND_KEY` /
+    Stores :func:`repro.bounds.gap.trial_bounds`' capacitated and
+    uncapacitated bounds under :data:`BOUND_KEY` /
     :data:`UNCAP_BOUND_KEY` and asserts in-run soundness: a heuristic
     rate above its certified bound is a library bug (in the solver, the
     verifier or the bound itself), never a legitimate outcome.
     """
-    from repro.bounds.gap import optimality_gap
-    from repro.bounds.lp import compute_bound
+    from repro.bounds.gap import optimality_gap, trial_bounds
 
-    certificate = compute_bound(
-        network, backend=config.bound_backend, capacitated=True
-    )
-    uncap = compute_bound(
-        network, backend=config.bound_backend, capacitated=False
-    )
-    rates[BOUND_KEY] = certificate.rate_bound
-    rates[UNCAP_BOUND_KEY] = uncap.rate_bound
+    bounds = trial_bounds(network, rates, backend=config.bound_backend)
+    rates[BOUND_KEY] = bounds.capacitated
+    rates[UNCAP_BOUND_KEY] = bounds.uncapacitated
     metrics = obs_metrics.active()
     for method in config.methods:
-        bound = (
-            uncap if method in CAPACITY_EXEMPT_METHODS else certificate
-        )
+        bound = bounds.for_method(method)
         gap = optimality_gap(rates[method], bound)
         assert gap >= -_SOUNDNESS_RTOL, (
             f"solver {method!r} rate {rates[method]:.6e} exceeds the "
-            f"certified LP bound {bound.rate_bound:.6e} "
-            f"(capacitated={bound.capacitated}) — unsound bound or "
-            f"invalid solution"
+            f"certified bound {bound:.6e} — unsound bound or invalid "
+            f"solution"
         )
         if metrics is not None:
             metrics.observe(f"bounds.gap_percent.{method}", 100.0 * gap)

@@ -29,17 +29,17 @@ class SweepResult:
 
     @property
     def has_bounds(self) -> bool:
-        """Whether every sweep point carries certified LP bounds."""
+        """Whether every sweep point carries certified bounds."""
         return all(r.has_bounds for r in self.results)
 
     def bound_series(self) -> List[float]:
-        """Mean certified LP bound per swept value."""
+        """Mean certified capacitated bound per swept value."""
         if not self.has_bounds:
             raise ValueError("sweep ran without bound computation")
         return [r.mean_bound for r in self.results]
 
     def gap_series(self) -> Dict[str, List[float]]:
-        """Method → mean optimality-gap-vs-LP-bound (%) per swept value.
+        """Method → mean optimality gap (%) per swept value.
 
         Gaps are averaged per trial against that trial's own certified
         bound (capacity-exempt methods against the uncapacitated one),

@@ -58,9 +58,11 @@ def write_full_report(
     if with_bounds:
         sections += [
             "Rate tables report each method's mean optimality gap "
-            "against a per-network certified LP upper bound "
-            "(`docs/BOUNDS.md`); capacity-exempt methods are measured "
-            "against the uncapacitated relaxation.",
+            "against a per-network certified upper bound "
+            "(`docs/BOUNDS.md`): Algorithm 2's rate, tightened by the "
+            "capacitated LP where no heuristic reaches it; "
+            "capacity-exempt methods are measured against Algorithm "
+            "2's rate.",
             "",
         ]
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bounds.gap import optimality_gap
+from repro.bounds.gap import optimality_gap, trial_bounds
 from repro.bounds.lp import compute_bound, scipy_available
 from repro.core.registry import CAPACITY_EXEMPT_METHODS, solve
 from repro.topology import TopologyConfig, waxman_network
@@ -38,8 +38,10 @@ def _assert_sound(network, backend):
     uncapacitated = compute_bound(
         network, backend=backend, capacitated=False
     )
+    rates = {}
     for method in METHODS:
         solution = solve(method, network, rng=ensure_rng(0))
+        rates[method] = solution.rate
         bound = (
             uncapacitated
             if method in CAPACITY_EXEMPT_METHODS
@@ -49,6 +51,23 @@ def _assert_sound(network, backend):
         assert gap >= -1e-7, (
             f"{method} beat the {backend} bound: rate "
             f"{solution.rate:.6e} > {bound.rate_bound:.6e}"
+        )
+    # Algorithm 2 is the uncapacitated bound experiments report, so the
+    # uncapacitated LP must dominate it too (the LP is the looser one).
+    assert optimality_gap(rates["optimal"], uncapacitated) >= -1e-7, (
+        f"Algorithm 2 beat the uncapacitated {backend} LP: rate "
+        f"{rates['optimal']:.6e} > {uncapacitated.rate_bound:.6e}"
+    )
+    # The bounds experiments report: sound for every method, and never
+    # looser than either LP.
+    bounds = trial_bounds(network, rates, backend=backend)
+    assert bounds.uncapacitated == rates["optimal"]
+    assert bounds.capacitated <= capacitated.rate_bound * (1 + 1e-9)
+    for method in METHODS:
+        gap = optimality_gap(rates[method], bounds.for_method(method))
+        assert gap >= -1e-7, (
+            f"{method} beat trial_bounds: rate {rates[method]:.6e} > "
+            f"{bounds.for_method(method):.6e}"
         )
 
 

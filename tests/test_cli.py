@@ -305,6 +305,67 @@ class TestExitCodes:
         assert "--checkpoint" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--users", "0"], "users"),
+            (["--users", "3", "--qubits", "-1"], "qubits_per_switch"),
+        ],
+    )
+    def test_bad_topology_value_exits_2_with_one_line(
+        self, capsys, flags, field
+    ):
+        code = main(["solve", "--switches", "10"] + flags)
+        assert code == EXIT_VALIDATION_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:")
+        assert field in err
+        assert len(err.strip().splitlines()) == 1
+
+
+class TestBoundsCommand:
+    ARGS = ["bounds", "--switches", "20", "--users", "6", "--qubits", "2"]
+
+    def test_json_reports_algorithm2_and_certification(self, capsys):
+        from repro.core.optimal import solve_optimal
+        from repro.topology import TopologyConfig, waxman_network
+
+        code = main(self.ARGS + ["--json", "--verify-determinism"])
+        assert code == EXIT_OK
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert "determinism check: ok" in captured.err
+        network = waxman_network(
+            TopologyConfig(n_switches=20, n_users=6, qubits_per_switch=2),
+            rng=7,
+        )
+        optimum = solve_optimal(network).rate
+        assert payload["uncapacitated_rate_bound"] == optimum
+        best = max(g["rate"] for g in payload["gaps"])
+        if payload["certified_optimal"]:
+            assert payload["certificate"] is None
+            assert payload["capacitated_rate_bound"] == optimum
+        else:
+            assert payload["capacitated_rate_bound"] == min(
+                payload["certificate"]["rate_bound"], optimum
+            )
+        assert best <= payload["capacitated_rate_bound"] * (1 + 1e-7)
+
+    def test_table_labels_whether_the_lp_ran(self, capsys):
+        # Seed 7: Prim reaches Algorithm 2's rate on the 25-switch
+        # network, while capacity binds on the 20-switch one.
+        certified = ["bounds", "--switches", "25", "--users", "8",
+                     "--qubits", "2"]
+        assert main(certified) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "LP bound: not needed (certified optimal" in out
+        assert "uncapacitated bound (Algorithm 2)" in out
+        assert main(self.ARGS) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "LP bound: rate ≤" in out
+        assert "not needed" not in out
+
+
 class TestRobustSolveCommand:
     def test_robust_prints_audit(self, capsys):
         code = main(
