@@ -6,7 +6,8 @@ hole:
 
 * on capacity-tight **toy** instances, the branch-and-bound exact
   solver gives the true optimum — and doubles as a soundness check on
-  the certified bound (``bound ≥ exact``);
+  the certified bound (``bound ≥ exact``) and on the capacitated LP,
+  which certified networks otherwise skip;
 * at **fig scale** (where exact search explodes),
   :func:`repro.bounds.gap.trial_bounds` certifies an upper bound, so
   every heuristic gets a *certified* gap instead of an unverifiable
@@ -30,10 +31,12 @@ import numpy as np
 
 from repro.analysis.tables import Table
 from repro.bounds.gap import optimality_gap, trial_bounds
+from repro.bounds.lp import compute_bound
 from repro.bounds.rounding import solve_lp_rounding
 from repro.core.conflict_free import solve_conflict_free
 from repro.core.exact import solve_exact
 from repro.core.prim_based import solve_prim
+from repro.core.tree import validate_solution
 from repro.topology.base import TopologyConfig
 from repro.topology.waxman import waxman_network
 from repro.utils.rng import ensure_rng, spawn_rngs
@@ -71,12 +74,17 @@ def _measure_tier(name, config, with_exact):
     feasible_networks = certified_networks = 0
     for trial, rng in enumerate(spawn_rngs(BENCH_SEED, BENCH_NETWORKS)):
         network = waxman_network(config, rng=rng)
-        rates = {
-            heuristic: _solve_heuristic(
+        rates = {}
+        for heuristic in HEURISTICS:
+            solution = _solve_heuristic(
                 heuristic, network, ensure_rng(1000 + trial)
-            ).rate
-            for heuristic in HEURISTICS
-        }
+            )
+            # Only a verified tree may certify the network optimal.
+            report = validate_solution(
+                network, solution, enforce_capacity=True
+            )
+            assert report.ok, f"{heuristic} invalid on tier {name}: {report}"
+            rates[heuristic] = solution.rate
         started = time.perf_counter()
         certified = trial_bounds(network, rates)
         bound_seconds.append(time.perf_counter() - started)
@@ -96,6 +104,9 @@ def _measure_tier(name, config, with_exact):
             if exact.feasible:
                 exact_gap = optimality_gap(exact.rate, certified.capacitated)
                 assert exact_gap >= -1e-7, "certified bound below exact optimum"
+                # Certified networks skip the LP, so check it here too.
+                lp_gap = optimality_gap(exact.rate, compute_bound(network))
+                assert lp_gap >= -1e-7, "capacitated LP below exact optimum"
                 exact_gaps.append(exact_gap)
     best_gaps = [
         min(gaps[h][i] for h in HEURISTICS)

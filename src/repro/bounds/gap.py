@@ -201,11 +201,17 @@ def trial_bounds(
       else from :func:`~repro.core.optimal.solve_optimal`, which draws
       no randomness.
     * If the best capacity-aware rate in ``rates`` reaches it (within
-      :data:`SOUNDNESS_TOLERANCE`), the trial is certified optimal and
-      no LP runs.
+      :data:`SOUNDNESS_TOLERANCE`) and it is positive, the trial is
+      certified optimal and no LP runs.  A network with no tree (rate
+      0) is never certified.
     * Otherwise the capacitated LP (*backend*) runs once, and the
       capacitated bound is the smaller of its bound and Algorithm 2's
       rate.
+
+    The rates must come from trees that passed
+    :func:`~repro.core.tree.validate_solution` (capacity enforced for
+    every non-exempt method): an unverified capacity-violating tree at
+    Algorithm 2's rate would certify itself.
     """
     exempt = sorted(m for m in CAPACITY_EXEMPT_METHODS if m in rates)
     algorithm2 = (
@@ -215,7 +221,11 @@ def trial_bounds(
         (r for m, r in rates.items() if m not in CAPACITY_EXEMPT_METHODS),
         default=None,
     )
-    if best is not None and best >= algorithm2 * (1.0 - SOUNDNESS_TOLERANCE):
+    if (
+        best is not None
+        and algorithm2 > 0.0
+        and best >= algorithm2 * (1.0 - SOUNDNESS_TOLERANCE)
+    ):
         metrics = obs_metrics.active()
         if metrics is not None:
             metrics.inc("bounds.certified")

@@ -616,21 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _topology_config(**fields) -> TopologyConfig:
-    """``TopologyConfig(**fields)``, its ``ValueError`` as a ``ValidationError``.
-
-    Every subcommand builds its topology here, so an out-of-range value
-    (``--users 0``, ``--qubits -1``) exits 2 with a one-line message
-    instead of a traceback.
-    """
-    try:
-        return TopologyConfig(**fields)
-    except ValidationError:
-        raise
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
-
-
 def _command_list() -> int:
     print("solvers:     ", ", ".join(sorted(SOLVERS)))
     print("topologies:  ", ", ".join(sorted(GENERATORS)))
@@ -639,7 +624,7 @@ def _command_list() -> int:
 
 
 def _command_solve(args: argparse.Namespace) -> int:
-    config = _topology_config(
+    config = TopologyConfig(
         n_switches=args.switches,
         n_users=args.users,
         avg_degree=args.degree,
@@ -693,7 +678,7 @@ def _command_obs(args: argparse.Namespace) -> int:
 
     import repro.obs as obs
 
-    config = _topology_config(
+    config = TopologyConfig(
         n_switches=args.switches,
         n_users=args.users,
         avg_degree=args.degree,
@@ -719,7 +704,7 @@ def _command_obs(args: argparse.Namespace) -> int:
 def _command_stats(args: argparse.Namespace) -> int:
     from repro.network.statistics import degree_histogram, topology_stats
 
-    config = _topology_config(
+    config = TopologyConfig(
         n_switches=args.switches,
         n_users=args.users,
         avg_degree=args.degree,
@@ -737,7 +722,7 @@ def _command_stats(args: argparse.Namespace) -> int:
 def _command_montecarlo(args: argparse.Namespace) -> int:
     from repro.sim.protocol import simulate_solution
 
-    config = _topology_config(
+    config = TopologyConfig(
         n_switches=args.switches, n_users=args.users
     )
     network = generate(args.topology, config, rng=args.seed)
@@ -770,7 +755,7 @@ def _command_resilience(args: argparse.Namespace) -> int:
     from repro.sim.online import OnlineScheduler
     from repro.sim.workload import WorkloadSpec, generate_workload
 
-    config = _topology_config(
+    config = TopologyConfig(
         n_switches=args.switches,
         n_users=args.users,
         qubits_per_switch=args.qubits,
@@ -851,7 +836,7 @@ def _command_admit(args: argparse.Namespace) -> int:
     from repro.sim.online import OnlineScheduler
     from repro.sim.workload import WorkloadSpec, generate_workload
 
-    config = _topology_config(
+    config = TopologyConfig(
         n_switches=args.switches,
         n_users=args.users,
         qubits_per_switch=args.qubits,
@@ -951,7 +936,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     from repro.sim.workload import WorkloadSpec, generate_workload
     from repro.tenancy import ReplicationPolicy, serve_tenants
 
-    config = _topology_config(
+    config = TopologyConfig(
         n_switches=args.switches,
         n_users=args.users,
         qubits_per_switch=args.qubits,
@@ -1253,7 +1238,7 @@ def _command_incremental(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"bad --fault-mix / --events: {exc}", file=sys.stderr)
         return EXIT_VALIDATION_ERROR
-    config = _topology_config(
+    config = TopologyConfig(
         n_switches=args.switches,
         n_users=args.users,
         qubits_per_switch=args.qubits,
@@ -1328,11 +1313,12 @@ def _command_bounds(args: argparse.Namespace) -> int:
     """Certify one network and gap the requested solvers against it.
 
     Runs every ``--method`` (default conflict_free, prim and the
-    LP-rounding solver), then takes the network's bounds from
+    LP-rounding solver) and verifies each tree (capacity enforced
+    unless the method is exempt), then takes the network's bounds from
     :func:`repro.bounds.gap.trial_bounds`: Algorithm 2's rate is the
     uncapacitated bound, and the capacitated LP runs only when no
-    capacity-aware method reached it.  Any solver beating its certified
-    bound exits with ``EXIT_VERIFICATION_ERROR`` — that is a library
+    capacity-aware method reached it.  An invalid tree, or a solver
+    beating its certified bound, exits with ``EXIT_VERIFICATION_ERROR`` — that is a library
     bug, never a legitimate outcome.  ``--verify-determinism`` re-solves
     the relaxation and the rounding and fails the same way unless
     byte-identical.
@@ -1352,7 +1338,7 @@ def _command_bounds(args: argparse.Namespace) -> int:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION_ERROR
 
-    config = _topology_config(
+    config = TopologyConfig(
         n_switches=args.switches,
         n_users=args.users,
         avg_degree=args.degree,
@@ -1361,7 +1347,21 @@ def _command_bounds(args: argparse.Namespace) -> int:
     )
     network = generate(args.topology, config, rng=args.seed)
     methods = tuple(args.method or ("conflict_free", "prim", "lp_rounding"))
-    solved = [(m, solve(m, network, rng=args.seed).rate) for m in methods]
+    solved = []
+    for method in methods:
+        solution = solve(method, network, rng=args.seed)
+        # Only a verified tree may certify the trial optimal: a
+        # capacity-violating tree at Algorithm 2's rate would otherwise
+        # certify itself.
+        report = validate_solution(
+            network,
+            solution,
+            enforce_capacity=method not in CAPACITY_EXEMPT_METHODS,
+        )
+        if not report.ok:
+            print(f"{method}: {report}", file=sys.stderr)
+            return EXIT_VERIFICATION_ERROR
+        solved.append((method, solution.rate))
     bounds = trial_bounds(network, dict(solved), backend=args.backend)
     certificate = bounds.certificate
 

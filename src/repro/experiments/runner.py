@@ -37,8 +37,10 @@ from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
 #: :func:`repro.bounds.gap.trial_bounds`).  They ride through the
 #: checkpoint store and shard merges exactly like method rates, which
 #: is what keeps bounded runs resumable and worker-count invariant.
-BOUND_KEY = "__lp_bound__"
-UNCAP_BOUND_KEY = "__lp_bound_uncap__"
+#: Records under the older LP-only keys (``__lp_bound__``) lack these,
+#: so they are recomputed instead of mixed in.
+BOUND_KEY = "__bound__"
+UNCAP_BOUND_KEY = "__uncap_bound__"
 
 #: Relative slack for the in-run soundness gate (rate vs. bound).
 _SOUNDNESS_RTOL = 1e-7

@@ -23,7 +23,11 @@ import numpy as np
 
 from repro.network.graph import NetworkParams, QuantumNetwork
 from repro.utils.rng import RngLike, ensure_rng
-from repro.utils.validation import require_positive, require_probability
+from repro.utils.validation import (
+    ValidationError,
+    require_positive,
+    require_probability,
+)
 
 
 @dataclass(frozen=True)
@@ -53,15 +57,17 @@ class TopologyConfig:
 
     def __post_init__(self) -> None:
         if self.n_users < 2:
-            raise ValueError(f"need at least 2 users, got {self.n_users}")
+            raise ValidationError(f"need at least 2 users, got {self.n_users}")
         if self.n_switches < 0:
-            raise ValueError(f"n_switches must be >= 0, got {self.n_switches}")
+            raise ValidationError(
+                f"n_switches must be >= 0, got {self.n_switches}"
+            )
         require_positive(self.avg_degree, "avg_degree")
         require_positive(self.area, "area")
         require_positive(self.alpha, "alpha")
         require_probability(self.swap_prob, "swap_prob")
         if self.qubits_per_switch < 0:
-            raise ValueError("qubits_per_switch must be >= 0")
+            raise ValidationError("qubits_per_switch must be >= 0")
 
     @property
     def n_nodes(self) -> int:

@@ -11,7 +11,14 @@ from repro.bounds.lp import compute_bound
 from repro.core.optimal import solve_optimal
 from repro.core.registry import solve
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import BOUND_KEY, UNCAP_BOUND_KEY, run_trial
+from repro.experiments.checkpoint import CheckpointStore
+from repro.experiments.runner import (
+    BOUND_KEY,
+    UNCAP_BOUND_KEY,
+    resumable_rates,
+    run_trial,
+)
+from repro.network.graph import QuantumNetwork
 from repro.topology import TopologyConfig, waxman_network
 from repro.utils.rng import ensure_rng
 
@@ -79,6 +86,20 @@ def test_exempt_methods_alone_never_certify():
     assert bounds.for_method("prim") == bounds.capacitated
 
 
+def test_a_network_without_a_tree_is_never_certified():
+    # Two users with no fiber between them: no tree, every rate is 0.
+    network = QuantumNetwork()
+    network.add_user("alice", (0, 0))
+    network.add_user("bob", (100, 0))
+    network.add_switch("s", (50, 0), qubits=2)
+    network.add_fiber("alice", "s")
+    with obs_metrics.collecting() as registry:
+        bounds = trial_bounds(network, {"prim": 0.0}, backend="simplex")
+    assert not bounds.certified_optimal
+    assert bounds.capacitated == bounds.uncapacitated == 0.0
+    assert "bounds.certified" not in registry.counters()
+
+
 def test_runner_stores_trial_bounds():
     config = ExperimentConfig(
         n_switches=20,
@@ -97,3 +118,24 @@ def test_runner_stores_trial_bounds():
         1 + 1e-7
     )
     assert math.isfinite(rates[BOUND_KEY])
+
+
+def test_records_with_lp_only_bounds_are_recomputed(tmp_path):
+    # Bounded checkpoints written before Algorithm 2 certified trials
+    # carry LP-only bounds under the old keys; resuming must not mix
+    # them with the current ones.
+    config = ExperimentConfig(
+        n_switches=20, n_users=6, n_networks=1, seed=5,
+        methods=("prim",), bound="lp",
+    )
+    store = CheckpointStore(tmp_path / "trials.jsonl")
+    store.record(
+        config, 0, {"prim": 0.1, "__lp_bound__": 0.2,
+                    "__lp_bound_uncap__": 0.3},
+    )
+    assert resumable_rates(store, config, 0) is None
+    store.record(config, 0, {"prim": 0.1, BOUND_KEY: 0.2,
+                             UNCAP_BOUND_KEY: 0.3})
+    assert resumable_rates(store, config, 0) == {
+        "prim": 0.1, BOUND_KEY: 0.2, UNCAP_BOUND_KEY: 0.3,
+    }

@@ -365,6 +365,28 @@ class TestBoundsCommand:
         assert "LP bound: rate ≤" in out
         assert "not needed" not in out
 
+    def test_capacity_violating_tree_cannot_certify(
+        self, monkeypatch, capsys
+    ):
+        # Algorithm 2's tree overbooks a switch on this network (capacity
+        # binds); passed off as Prim's, it reaches Algorithm 2's rate and
+        # would certify itself if the CLI trusted unverified rates.
+        import repro.cli as cli
+        from repro.core.optimal import solve_optimal
+
+        real_solve = cli.solve
+
+        def overbooking_prim(method, network, rng=None):
+            if method == "prim":
+                return solve_optimal(network)
+            return real_solve(method, network, rng=rng)
+
+        monkeypatch.setattr(cli, "solve", overbooking_prim)
+        assert main(self.ARGS + ["--json"]) == EXIT_VERIFICATION_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "over capacity" in captured.err
+
 
 class TestRobustSolveCommand:
     def test_robust_prints_audit(self, capsys):
